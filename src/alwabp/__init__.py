@@ -45,8 +45,6 @@ from .heuristic import (
     ipbs,
     local_search,
     max_pw_priority,
-    min_rlb,
-    strengthen_partial,
 )
 from .bnb import (
     BnbConfig,

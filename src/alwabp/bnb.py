@@ -323,7 +323,9 @@ def select_branch_task(state, gub):
 
 
 def _node_bound(state, gub, config):
-    """Bound the completions of the current node on the reduced matrix."""
+    """Bound the completions of the current node on the reduced matrix:
+    loads, LC1, LC2 and LC3 on the minimum times, then L1a_bar from a single
+    ascent, returning as soon as a stage reaches the incumbent."""
     inst = state.inst
     m = inst.n_workers
     p_min = state.eff.min(axis=1)
@@ -335,15 +337,12 @@ def _node_bound(state, gub, config):
     value = max(value, lb._lc2(sorted(p_int, reverse=True), m))
     if value >= gub:
         return value
-    pred_sums = [sum(p_int[j] for j in inst.preds_star[t]) for t in range(inst.n_tasks)]
-    succ_sums = [sum(p_int[j] for j in inst.succs_star[t]) for t in range(inst.n_tasks)]
-    value = max(value, lb._lc3(p_int, pred_sums, succ_sums, m))
-    if value >= gub or not config.node_l1a:
+    value = max(value, lb._lc3(inst, p_int))
+    if value >= gub:
         return value
     cap = None if math.isinf(gub) else int(gub)
-    l1 = lb._l1_value(state.eff, config.l1_iters)
-    l1a = lb._l1_additive(state.eff, l1, config.l1_iters, cap=cap)
-    return max(value, lb._disjunction_value(state.eff, l1a))
+    *_, l1a_bar = lb._l1_chain(state.eff, config.l1_iters, cap)
+    return max(value, l1a_bar)
 
 
 @dataclass
@@ -352,11 +351,9 @@ class BnbConfig:
     seed: int = 42
     heuristic_on: bool = True
     reduction_rules: bool = True
-    node_l1a: bool = True
     l1_iters: int = lb.DEFAULT_L1_ITERS
     l2_iters: int = lb.DEFAULT_L2_ITERS
     incumbent: Solution | None = None
-    root_bound_names: tuple = lb.NATIVE_BOUNDS
 
 
 @dataclass
@@ -433,7 +430,7 @@ def branch_and_bound(inst, config=None):
     if config is None:
         config = BnbConfig()
     t0 = time.monotonic()
-    root_report = lb.all_bounds(inst, config.root_bound_names, config.l1_iters, config.l2_iters)
+    root_report = lb.all_bounds(inst, lb.NATIVE_BOUNDS, config.l1_iters, config.l2_iters)
     root_lb = root_report.best
 
     incumbent = config.incumbent

@@ -23,9 +23,6 @@ DEFAULT_L2_ITERS = 20
 NATIVE_BOUNDS = ("LC1", "LC2", "LC3", "L1a_bar", "L2_bar")
 ALL_BOUNDS = ("LC1", "LC2", "LC3", "L1", "L1a", "L1a_bar", "L2", "L2_bar")
 
-L1A = "L1A"
-L2 = "L2"
-
 
 @dataclass
 class BoundEntry:
@@ -87,13 +84,13 @@ def _lc2(p_desc, m):
 def station_windows(inst, cycle_time):
     """Earliest and latest feasible station of each task at a candidate
     cycle time, both 1-based. The window may be empty (earliest > latest)."""
-    pred_sums, succ_sums = _star_sums(inst)
-    e, l = _windows(inst.min_times, pred_sums, succ_sums, inst.n_workers, cycle_time)
+    p = inst.min_times
+    e, l = _windows(p, *_star_sums(inst, p), inst.n_workers, cycle_time)
     return StationWindow(tuple(e), tuple(l))
 
 
-def _star_sums(inst):
-    p = inst.min_times
+def _star_sums(inst, p):
+    """Total time p of each task's transitive predecessors and successors."""
     pred = [sum(p[j] for j in inst.preds_star[t]) for t in range(inst.n_tasks)]
     succ = [sum(p[j] for j in inst.succs_star[t]) for t in range(inst.n_tasks)]
     return pred, succ
@@ -107,16 +104,16 @@ def _windows(p, pred_sums, succ_sums, m, c):
 
 def lc3(inst):
     """Smallest cycle time for which every task has a non-empty station window."""
-    pred_sums, succ_sums = _star_sums(inst)
-    return _lc3(inst.min_times, pred_sums, succ_sums, inst.n_workers)
+    return _lc3(inst, inst.min_times)
 
 
-def _lc3(p, pred_sums, succ_sums, m):
+def _lc3(inst, p):
+    pred_sums, succ_sums = _star_sums(inst, p)
     lo = max(1, max(p))
     hi = max(lo, sum(p))
 
     def feasible(c):
-        e, l = _windows(p, pred_sums, succ_sums, m, c)
+        e, l = _windows(p, pred_sums, succ_sums, inst.n_workers, c)
         return all(et <= lt for et, lt in zip(e, l))
 
     while lo < hi:
@@ -166,16 +163,23 @@ def _l1_ascent(times, max_iters):
     return best_val, best_lam
 
 
-def _l1_value(times, max_iters):
-    best_val, _ = _l1_ascent(times, max_iters)
+def _l1_chain(times, max_iters, cap=None):
+    """Yield L1, L1a and L1a_bar of one matrix in turn, all from a single
+    ascent. Each value is computed only when it is requested, so taking
+    just L1 runs no knapsack."""
+    best_val, lam = _l1_ascent(times, max_iters)
     p_min_max = int(np.nanmin(np.where(np.isfinite(times), times, np.nan), axis=1).max())
-    return max(math.ceil(best_val - 1e-9), p_min_max)
+    l1 = max(math.ceil(best_val - 1e-9), p_min_max)
+    yield l1
+    l1a = _l1_additive(times, l1, lam, cap)
+    yield l1a
+    yield _disjunction_value(times, l1a)
 
 
 def bound_l1(inst, max_iters=DEFAULT_L1_ITERS):
     """Lagrangian bound from relaxing the per-worker cycle constraints;
     precedences are ignored. Monotone non-decreasing over iterations."""
-    return _l1_value(inst.times_array, max_iters)
+    return next(_l1_chain(inst.times_array, max_iters))
 
 
 def knapsack_all_capacities(weights, profits, capacity):
@@ -210,7 +214,7 @@ def _knapsack_selection(table, weights, capacity):
     return chosen
 
 
-def _l1_additive(times, l1, max_iters, cap=None):
+def _l1_additive(times, l1, lam, cap=None):
     """Additive improvement of the cycle-constraint dual.
 
     With multipliers lam, any schedule of makespan c satisfies
@@ -224,7 +228,6 @@ def _l1_additive(times, l1, max_iters, cap=None):
     n_tasks, m = times.shape
     finite = np.isfinite(times)
     filled = np.where(finite, times, 0.0)
-    _, lam = _l1_ascent(times, max_iters)
     weighted = np.where(finite, filled * lam, np.inf)
     choice = weighted.argmin(axis=1)
     phi = weighted.min(axis=1).sum()
@@ -284,7 +287,9 @@ def _l1_additive(times, l1, max_iters, cap=None):
 
 def improve_l1_additive(inst, l1, max_iters=DEFAULT_L1_ITERS):
     """Knapsack-based additive improvement; never below the input bound."""
-    return _l1_additive(inst.times_array, l1, max_iters)
+    times = inst.times_array
+    _, lam = _l1_ascent(times, max_iters)
+    return _l1_additive(times, l1, lam)
 
 
 def _disjunction_value(times, base):
@@ -312,11 +317,9 @@ def _disjunction_value(times, base):
     return max(base, int(per_task.max()))
 
 
-def disjunction_improve(inst, base, which=L1A):
-    """Disjunctive strengthening applied to a bound of the named family
-    (the construction is shared by both). Never below the input."""
-    if which not in (L1A, L2):
-        raise ValueError(f"unknown bound family {which!r}")
+def disjunction_improve(inst, base):
+    """Disjunctive strengthening of a bound of either machine-relaxation
+    family (L1a or L2); never below the input."""
     return _disjunction_value(inst.times_array, base)
 
 
@@ -374,31 +377,51 @@ def bound_l2(inst, max_iters=DEFAULT_L2_ITERS):
     return _l2_value(inst.times_array, max_iters)
 
 
+def _l2_chain(times, max_iters):
+    """Yield L2, then L2_bar strengthened from it."""
+    l2 = _l2_value(times, max_iters)
+    yield l2
+    yield _disjunction_value(times, l2)
+
+
 # ---------------------------------------------------------------------------
 
 
+# bound name -> (chain, position of the bound in it)
+_CHAINED = {
+    "L1": ("L1", 0),
+    "L1a": ("L1", 1),
+    "L1a_bar": ("L1", 2),
+    "L2": ("L2", 0),
+    "L2_bar": ("L2", 1),
+}
+_SINGLE = {"LC1": lc1, "LC2": lc2, "LC3": lc3}
+
+
 def all_bounds(inst, include=NATIVE_BOUNDS, l1_iters=DEFAULT_L1_ITERS, l2_iters=DEFAULT_L2_ITERS):
-    """Compute the requested bounds and report values with compute times."""
+    """Compute the requested bounds and report values with compute times.
+
+    L1, L1a and L1a_bar share one ascent, and L2_bar reuses L2; each shared
+    result is computed once, when the first entry that needs it is reached,
+    and nothing that no requested entry needs is computed. An entry's
+    elapsed_s covers only the work done for it, so shared work counts
+    against the first entry that needs it (L2_bar after L2 reads about 0).
+    """
+    times = inst.times_array
+    # generator and the values taken from it so far; a generator runs
+    # nothing until its first value is taken
+    chains = {"L1": (_l1_chain(times, l1_iters), []), "L2": (_l2_chain(times, l2_iters), [])}
     report = BoundReport()
     for name in include:
         t0 = time.perf_counter()
-        if name == "LC1":
-            value = lc1(inst)
-        elif name == "LC2":
-            value = lc2(inst)
-        elif name == "LC3":
-            value = lc3(inst)
-        elif name == "L1":
-            value = bound_l1(inst, l1_iters)
-        elif name == "L1a":
-            value = improve_l1_additive(inst, bound_l1(inst, l1_iters), l1_iters)
-        elif name == "L1a_bar":
-            l1 = bound_l1(inst, l1_iters)
-            value = disjunction_improve(inst, improve_l1_additive(inst, l1, l1_iters), L1A)
-        elif name == "L2":
-            value = bound_l2(inst, l2_iters)
-        elif name == "L2_bar":
-            value = disjunction_improve(inst, bound_l2(inst, l2_iters), L2)
+        if name in _SINGLE:
+            value = _SINGLE[name](inst)
+        elif name in _CHAINED:
+            chain, pos = _CHAINED[name]
+            gen, values = chains[chain]
+            while len(values) <= pos:
+                values.append(next(gen))
+            value = values[pos]
         else:
             raise ValueError(f"unknown bound {name!r}")
         report.entries.append(BoundEntry(name, int(value), time.perf_counter() - t0))

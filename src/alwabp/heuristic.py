@@ -13,7 +13,6 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,11 +66,6 @@ def max_pw_priority(inst, t):
     return p[t] + sum(p[j] for j in inst.succs_star[t])
 
 
-def _priority_vector(inst):
-    p = inst.min_times
-    return [p[t] + sum(p[j] for j in inst.succs_star[t]) for t in range(inst.n_tasks)]
-
-
 def _iter_bits(mask):
     while mask:
         low = mask & -mask
@@ -80,14 +74,13 @@ def _iter_bits(mask):
 
 
 class PartialAssignment:
-    """State of a partially built line: stations closed so far, per-worker
-    loads, the unassigned tasks and workers, and an effective time matrix
-    that accumulates infeasibility marks from continuity reasoning."""
+    """State of a partially built line: stations closed so far, the assigned
+    and available (all predecessors assigned) tasks, and the workers that
+    have no station yet, as bit masks."""
 
-    __slots__ = ("inst", "stations", "assigned_mask", "avail_mask", "workers_mask", "_eff", "dead")
+    __slots__ = ("stations", "assigned_mask", "avail_mask", "workers_mask")
 
-    def __init__(self, inst, stations=(), assigned_mask=0, avail_mask=None, workers_mask=None, eff=None, dead=False):
-        self.inst = inst
+    def __init__(self, inst, stations=(), assigned_mask=0, avail_mask=None, workers_mask=None):
         self.stations = stations  # tuple of (worker, task tuple, load)
         self.assigned_mask = assigned_mask
         if avail_mask is None:
@@ -96,179 +89,18 @@ class PartialAssignment:
         if workers_mask is None:
             workers_mask = (1 << inst.n_workers) - 1
         self.workers_mask = workers_mask
-        self._eff = eff  # None means the untouched instance matrix
-        self.dead = dead
-
-    @classmethod
-    def from_stations(cls, inst, stations):
-        """Build a partial from (worker, task iterable) pairs, one per closed
-        station in line order."""
-        assigned = 0
-        workers = (1 << inst.n_workers) - 1
-        built = []
-        for w, tasks in stations:
-            w = int(w)
-            tasks = tuple(int(t) for t in tasks)
-            load = sum(inst.times[t][w] for t in tasks)
-            built.append((w, tasks, load))
-            workers &= ~(1 << w)
-            for t in tasks:
-                assigned |= 1 << t
-        avail = 0
-        for t in range(inst.n_tasks):
-            if not (assigned >> t) & 1 and inst.pred_mask[t] & assigned == inst.pred_mask[t]:
-                avail |= 1 << t
-        return cls(inst, tuple(built), assigned, avail, workers)
-
-    @property
-    def effective_times(self):
-        return self.inst.times_array if self._eff is None else self._eff
-
-    @property
-    def unassigned_tasks(self):
-        return frozenset(t for t in range(self.inst.n_tasks) if not (self.assigned_mask >> t) & 1)
-
-    @property
-    def unassigned_workers(self):
-        return frozenset(_iter_bits(self.workers_mask))
-
-    @property
-    def assignment(self):
-        out = {}
-        for w, tasks, _ in self.stations:
-            for t in tasks:
-                out[t] = w
-        return out
-
-    @property
-    def loads(self):
-        out = {w: 0 for w in range(self.inst.n_workers)}
-        for w, _, load in self.stations:
-            out[w] = load
-        return out
-
-
-def strengthen_partial(partial):
-    """Apply the continuity logic to a partial assignment until a fixpoint.
-
-    (a) a task lying between two tasks of the same worker is pulled onto that
-    worker; (b) once a task is unexecutable for a worker, so is everything
-    beyond it on the same side. A task forced onto a worker that cannot run
-    it marks the partial dead.
-    """
-    inst = partial.inst
-    assignment = dict(partial.assignment)
-    eff = None  # copy of the matrix, made on first write
-
-    def time_of(t, w):
-        if eff is not None:
-            return eff[t, w]
-        return inst.times[t][w]
-
-    def mark(t, w):
-        nonlocal eff
-        if eff is None:
-            eff = np.array(partial.effective_times, copy=True)
-        eff[t, w] = INFEASIBLE
-
-    for t, w in assignment.items():
-        if time_of(t, w) == INFEASIBLE:
-            return _with_updates(partial, assignment, eff, dead=True)
-
-    forced = []
-    changed = True
-    while changed:
-        changed = False
-        by_worker = {}
-        for t, w in assignment.items():
-            by_worker.setdefault(w, []).append(t)
-        for w, tasks in by_worker.items():
-            for i in tasks:
-                for k in tasks:
-                    if i == k or k not in inst.succs_star[i]:
-                        continue
-                    for j in inst.succs_star[i] & inst.preds_star[k]:
-                        if j in assignment:
-                            continue
-                        if time_of(j, w) == INFEASIBLE:
-                            return _with_updates(partial, assignment, eff, dead=True, forced=forced)
-                        assignment[j] = w
-                        forced.append((j, w))
-                        changed = True
-        for i, w in list(assignment.items()):
-            for side_star in (inst.succs_star, inst.preds_star):
-                for j in side_star[i]:
-                    if time_of(j, w) != INFEASIBLE:
-                        continue
-                    for k in side_star[j]:
-                        if time_of(k, w) != INFEASIBLE:
-                            if assignment.get(k) == w:
-                                return _with_updates(partial, assignment, eff, dead=True, forced=forced)
-                            mark(k, w)
-                            changed = True
-    return _with_updates(partial, assignment, eff, forced=forced)
-
-
-def _with_updates(partial, assignment, eff, dead=False, forced=()):
-    if not forced and eff is None:
-        if dead == partial.dead:
-            return partial
-        return PartialAssignment(
-            partial.inst, partial.stations, partial.assigned_mask,
-            partial.avail_mask, partial.workers_mask, partial._eff, dead,
-        )
-    inst = partial.inst
-    stations = list(partial.stations)
-    index = {w: i for i, (w, _, _) in enumerate(stations)}
-    assigned = partial.assigned_mask
-    for j, w in forced:
-        assigned |= 1 << j
-        if w in index:
-            i = index[w]
-            worker, tasks, load = stations[i]
-            p = inst.times[j][w]
-            stations[i] = (worker, tasks + (j,), load if p == INFEASIBLE else load + p)
-        else:
-            # forcing onto a worker with no station yet cannot happen in the
-            # forward construction; keep the assignment without a station
-            pass
-    avail = partial.avail_mask & ~assigned
-    for j, _ in forced:
-        for u in inst.succ_lists[j]:
-            if not (assigned >> u) & 1 and inst.pred_mask[u] & assigned == inst.pred_mask[u]:
-                avail |= 1 << u
-    new_eff = partial._eff if eff is None else eff
-    return PartialAssignment(inst, tuple(stations), assigned, avail, partial.workers_mask, new_eff, dead)
-
-
-def min_rlb(partial):
-    """Restricted lower bound of a partial assignment: total minimum time of
-    the unassigned tasks over the unassigned workers, divided by their
-    number. Continuity reasoning is applied first; an unassignable task makes
-    the score infinite, pruning the partial."""
-    part = strengthen_partial(partial)
-    if part.dead:
-        return math.inf
-    rows = sorted(part.unassigned_tasks)
-    if not rows:
-        return Fraction(0)
-    cols = sorted(part.unassigned_workers)
-    if not cols:
-        return math.inf
-    sub = part.effective_times[np.ix_(rows, cols)]
-    mins = sub.min(axis=1)
-    if np.isinf(mins).any():
-        return math.inf
-    return Fraction(int(mins.sum()), len(cols))
 
 
 def _rlb_sum(inst, assigned_mask, workers_mask):
-    """Numerator of the restricted lower bound for forward-built partials.
+    """Numerator of the restricted lower bound for forward-built partials:
+    the total minimum time of the unassigned tasks over the unassigned
+    workers, or None when some unassigned task has no such worker.
 
-    On such states the continuity rules can neither force a task nor kill
-    the state, and their infeasibility marks land only in columns of
-    already-consumed workers, so the min over the remaining workers is
-    unaffected and the instance matrix can be used directly."""
+    On such states the continuity rules (bnb.apply_reduction_rules) never
+    force a task, and their infeasibility marks land only in columns of
+    already-consumed workers. The min over the remaining workers is thus
+    unaffected, a state they find dead already scores None, and the
+    instance matrix can be used directly."""
     rows = [t for t in range(inst.n_tasks) if not (assigned_mask >> t) & 1]
     if not rows:
         return 0
@@ -342,7 +174,7 @@ def beam_search_feasible(inst, params, rng=None):
     if rng is None:
         rng = np.random.default_rng(params.seed)
     capacity = params.cycle_time
-    pw = _priority_vector(inst)
+    pw = [max_pw_priority(inst, t) for t in range(inst.n_tasks)]
     full = (1 << inst.n_tasks) - 1
     beam = [PartialAssignment(inst)]
     counter = 0

@@ -128,3 +128,17 @@ def small_suite():
         inst = build_suite_instance(*params)
         items.append((params, inst, brute_force_optimal(inst)))
     return {"items": items, "oracle_elapsed": time.perf_counter() - t0}
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name with a pass-through wrapper; returns the list the
+    wrapper appends one entry to per call."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

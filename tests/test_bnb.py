@@ -19,8 +19,9 @@ from alwabp import (
     unset_assignment,
     validate_solution,
 )
-from alwabp.bnb import FEASIBLE_TIME_LIMIT, INFEASIBLE_STATUS, OPTIMAL, _partial_lc1_after
-from conftest import random_instance
+from alwabp import bnb, bounds
+from alwabp.bnb import FEASIBLE_TIME_LIMIT, INFEASIBLE_STATUS, OPTIMAL, _node_bound, _partial_lc1_after
+from conftest import count_calls, random_instance
 
 
 class TestWorkerOrderGraph:
@@ -239,6 +240,36 @@ class TestBranchSelection:
         totals = (float(p_min.sum()), p_min)
         after = _partial_lc1_after(state, totals, max(state.loads), 1, 0)
         assert after >= state.loads[0] + 4
+
+
+class TestNodeBound:
+    def test_one_ascent_at_the_l1_stage(self, monkeypatch):
+        # with no incumbent every node bound reaches the L1 stage
+        ascents = count_calls(monkeypatch, bounds, "_l1_ascent")
+        for seed in range(20):
+            inst = random_instance(seed)
+            state = SearchState(inst)
+            w = next(w for w in range(inst.n_workers) if not math.isinf(state.eff[0, w]))
+            set_assignment(state, 0, w)
+            ascents.clear()
+            _node_bound(state, math.inf, BnbConfig())
+            assert len(ascents) == 1
+
+    def test_at_most_one_ascent_per_node_in_search(self, monkeypatch):
+        ascents = count_calls(monkeypatch, bounds, "_l1_ascent")
+        per_call = []
+
+        def counted_node_bound(state, gub, config):
+            before = len(ascents)
+            value = _node_bound(state, gub, config)
+            per_call.append(len(ascents) - before)
+            return value
+
+        monkeypatch.setattr(bnb, "_node_bound", counted_node_bound)
+        for seed in range(3):
+            branch_and_bound(random_instance(seed, n_tasks=12, n_workers=3), BnbConfig(heuristic_on=False))
+        assert per_call and set(per_call) <= {0, 1}
+        assert 1 in per_call
 
 
 class TestBranchAndBound:

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from alwabp import bounds
 from alwabp import (
     INFEASIBLE,
     Instance,
@@ -16,8 +17,8 @@ from alwabp import (
     lc3,
     station_windows,
 )
-from alwabp.bounds import ALL_BOUNDS
-from conftest import rcmax_optimal, random_instance
+from alwabp.bounds import ALL_BOUNDS, NATIVE_BOUNDS
+from conftest import count_calls, rcmax_optimal, random_instance
 
 
 def permuted_workers(inst, perm):
@@ -131,21 +132,17 @@ class TestDisjunction:
     def test_fig1_bracket(self, fig1):
         opt = rcmax_optimal(fig1)
         base = improve_l1_additive(fig1, bound_l1(fig1))
-        assert base <= disjunction_improve(fig1, base, "L1A") <= opt
+        assert base <= disjunction_improve(fig1, base) <= opt
 
     def test_single(self, single):
-        assert disjunction_improve(single, 7, "L2") == 7
+        assert disjunction_improve(single, 7) == 7
 
     def test_never_decreases(self):
         for seed in range(100):
             inst = random_instance(seed)
             base = bound_l2(inst)
-            v = disjunction_improve(inst, base, "L2")
+            v = disjunction_improve(inst, base)
             assert base <= v <= rcmax_optimal(inst)
-
-    def test_unknown_family_rejected(self, fig1):
-        with pytest.raises(ValueError):
-            disjunction_improve(fig1, 1, "L9")
 
 
 class TestL2:
@@ -183,6 +180,51 @@ class TestAllBounds:
     def test_elapsed_recorded(self, fig1):
         report = all_bounds(fig1)
         assert all(e.elapsed_s >= 0 for e in report.entries)
+
+    def test_entries_match_standalone_functions(self):
+        for seed in range(100):
+            inst = random_instance(seed)
+            l1 = bound_l1(inst)
+            l1a = improve_l1_additive(inst, l1)
+            l2 = bound_l2(inst)
+            expected = {
+                "LC1": lc1(inst),
+                "LC2": lc2(inst),
+                "LC3": lc3(inst),
+                "L1": l1,
+                "L1a": l1a,
+                "L1a_bar": disjunction_improve(inst, l1a),
+                "L2": l2,
+                "L2_bar": disjunction_improve(inst, l2),
+            }
+            for include in (ALL_BOUNDS, ALL_BOUNDS[::-1]):
+                report = all_bounds(inst, include)
+                assert {e.name: e.value for e in report.entries} == expected, f"seed {seed}"
+
+
+class TestSharedWork:
+    @pytest.mark.parametrize("include", [ALL_BOUNDS, NATIVE_BOUNDS])
+    def test_one_ascent_and_one_l2_per_call(self, monkeypatch, fig1, include):
+        ascents = count_calls(monkeypatch, bounds, "_l1_ascent")
+        l2_runs = count_calls(monkeypatch, bounds, "_l2_value")
+        for inst in [fig1] + [random_instance(seed) for seed in range(5)]:
+            ascents.clear()
+            l2_runs.clear()
+            all_bounds(inst, include)
+            assert (len(ascents), len(l2_runs)) == (1, 1)
+
+    def test_unrequested_work_skipped(self, monkeypatch, fig1):
+        ascents = count_calls(monkeypatch, bounds, "_l1_ascent")
+        knapsacks = count_calls(monkeypatch, bounds, "_l1_additive")
+        l2_runs = count_calls(monkeypatch, bounds, "_l2_value")
+        all_bounds(fig1, ("L1",))
+        assert (len(ascents), len(knapsacks), len(l2_runs)) == (1, 0, 0)
+        all_bounds(fig1, ("LC1", "LC2", "LC3"))
+        assert (len(ascents), len(knapsacks), len(l2_runs)) == (1, 0, 0)
+
+    def test_unknown_bound_rejected(self, fig1):
+        with pytest.raises(ValueError):
+            all_bounds(fig1, ("L9",))
 
 
 class TestSoundness:

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,19 +9,20 @@ from alwabp import (
     BeamParams,
     Instance,
     IpbsParams,
-    PartialAssignment,
     InfeasibleInstanceError,
+    SearchState,
+    apply_reduction_rules,
     beam_search_feasible,
     brute_force_optimal,
     initial_upper_bound,
     ipbs,
     local_search,
     max_pw_priority,
-    min_rlb,
-    strengthen_partial,
+    set_assignment,
     validate_solution,
 )
 from alwabp import Solution
+from alwabp.heuristic import _iter_bits, _rlb_sum
 from conftest import random_instance
 
 
@@ -38,88 +38,87 @@ class TestMaxPw:
 
 
 class TestMinRlb:
+    """The restricted lower bound's numerator, as the beam scores a partial."""
+
     def test_empty_partial(self, fig1):
-        assert min_rlb(PartialAssignment(fig1)) == Fraction(15, 3) == 5
+        assert _rlb_sum(fig1, 0, 0b111) == 15
 
     def test_after_first_station(self, fig1):
-        part = PartialAssignment.from_stations(fig1, [(2, (0, 2))])
-        assert min_rlb(part) == Fraction(10, 2)
+        # worker 3 ran tasks 1 and 3
+        assert _rlb_sum(fig1, 0b101, 0b011) == 10
 
     def test_all_assigned(self, fig1):
-        part = PartialAssignment.from_stations(fig1, [(2, (0, 2)), (0, (1, 3)), (1, (4, 5))])
-        assert min_rlb(part) == 0
+        assert _rlb_sum(fig1, 0b111111, 0) == 0
 
     def test_unassignable_task_prunes(self):
         # task 2 is only feasible for worker 0, which is consumed
         inst = Instance([[1, 1], [2, INFEASIBLE]], set())
-        part = PartialAssignment.from_stations(inst, [(0, (0,))])
-        assert min_rlb(part) == math.inf
+        assert _rlb_sum(inst, 0b01, 0b10) is None
 
 
 class TestStrengthen:
+    """Continuity rules on station-built states, run by the search engine."""
+
     def test_between_task_is_forced(self, fig1):
         # tasks 1 and 4 share worker 1, so task 3 must join it
-        part = PartialAssignment.from_stations(fig1, [(0, (0, 3))])
-        result = strengthen_partial(part)
-        assert not result.dead
-        assert result.assignment[2] == 0
-
-    def test_direct_infeasibility_is_dead(self, fig1):
-        part = PartialAssignment.from_stations(fig1, [(1, (0,))])
-        assert strengthen_partial(part).dead
-
-    def test_empty_partial_unchanged(self, fig1):
-        part = PartialAssignment(fig1)
-        result = strengthen_partial(part)
-        assert result is part
+        state = SearchState(fig1)
+        set_assignment(state, 0, 0)
+        set_assignment(state, 3, 0)
+        assert not apply_reduction_rules(state, 3, 0, gub=math.inf)
+        assert state.assignment[2] == 0
 
     def test_forced_onto_infeasible_is_dead(self):
         inst = Instance([[1, 1], [INFEASIBLE, 1], [1, 1]], {(0, 1), (1, 2)})
-        part = PartialAssignment.from_stations(inst, [(0, (0, 2))])
-        assert strengthen_partial(part).dead
+        state = SearchState(inst)
+        set_assignment(state, 0, 0)
+        set_assignment(state, 2, 0)
+        assert apply_reduction_rules(state, 2, 0, gub=math.inf)
 
     def test_infeasible_intermediate_excludes_beyond(self):
         # worker 0 runs task 0 but cannot run task 1, so task 2 is cut for it
         inst = Instance([[1, 1], [INFEASIBLE, 1], [1, 1]], {(0, 1), (1, 2)})
-        part = PartialAssignment.from_stations(inst, [(0, (0,))])
-        result = strengthen_partial(part)
-        assert not result.dead
-        assert result.effective_times[2, 0] == INFEASIBLE
+        state = SearchState(inst)
+        set_assignment(state, 0, 0)
+        assert not apply_reduction_rules(state, 0, 0, gub=math.inf)
+        assert math.isinf(state.eff[2, 0])
 
     def test_score_unchanged_on_forward_built_states(self):
         # on states built station by station in precedence order, the
-        # continuity rules never force a task, never kill the state, and can
-        # only mark columns of already-consumed workers, so the restricted
-        # bound equals the plain min-sum the beam computes directly
+        # continuity rules never force a task, and they mark only columns of
+        # already-consumed workers; so either the node is dead and the beam's
+        # score already prunes it, or the row minima over the remaining
+        # workers are those of the instance matrix the beam scores with
         for seed in range(30):
             inst = random_instance(seed)
             rng = np.random.default_rng(seed)
             order = [int(w) for w in rng.permutation(inst.n_workers)]
-            assigned = set()
-            stations = []
+            state = SearchState(inst)
+            assigned_mask = 0
+            workers_mask = (1 << inst.n_workers) - 1
+            dead = False
             for w in order[: int(rng.integers(1, inst.n_workers + 1))]:
-                tasks = []
+                workers_mask ^= 1 << w
                 for t in np.argsort(rng.random(inst.n_tasks)):
                     t = int(t)
-                    if t in assigned or inst.times[t][w] == INFEASIBLE:
+                    if (assigned_mask >> t) & 1 or inst.times[t][w] == INFEASIBLE:
                         continue
-                    if all(p in assigned for p in inst.preds_star[t]):
-                        tasks.append(t)
-                        assigned.add(t)
-                stations.append((w, tuple(tasks)))
-            part = PartialAssignment.from_stations(inst, stations)
-            result = strengthen_partial(part)
-            assert result.assignment == part.assignment
-            assert not result.dead
-            unassigned = sorted(part.unassigned_tasks)
-            workers = sorted(part.unassigned_workers)
+                    if all((assigned_mask >> p) & 1 for p in inst.preds_star[t]):
+                        assigned_mask |= 1 << t
+                        if not dead:
+                            set_assignment(state, t, w)
+                            dead = apply_reduction_rules(state, t, w, gub=math.inf)
+                            forced = state.assignment.keys() - set(_iter_bits(assigned_mask))
+                            assert dead or not forced, f"seed {seed}"
+            score = _rlb_sum(inst, assigned_mask, workers_mask)
+            if dead:
+                assert score is None, f"seed {seed}"
+                continue
+            unassigned = [t for t in range(inst.n_tasks) if not (assigned_mask >> t) & 1]
+            workers = list(_iter_bits(workers_mask))
             if unassigned and workers:
-                mins = [
-                    min(inst.times[t][w] for w in workers)
-                    for t in unassigned
-                ]
-                expected = math.inf if INFEASIBLE in mins else Fraction(sum(mins), len(workers))
-                assert min_rlb(part) == expected
+                mins = state.eff[np.ix_(unassigned, workers)].min(axis=1)
+                expected = None if np.isinf(mins).any() else int(mins.sum())
+                assert score == expected, f"seed {seed}"
 
 
 class TestBeamSearch:
