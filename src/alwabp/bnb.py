@@ -9,7 +9,6 @@ unset_assignment is recorded and reverted in reverse order.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -20,7 +19,14 @@ import numpy as np
 
 from . import bounds as lb
 from .heuristic import IpbsParams, ipbs
-from .instance import INFEASIBLE, EnumerationLimitError, InfeasibleInstanceError, Solution
+from .instance import (
+    INFEASIBLE,
+    CycleError,
+    EnumerationLimitError,
+    InfeasibleInstanceError,
+    Solution,
+    topological_order,
+)
 
 OPTIMAL = "optimal"
 FEASIBLE_TIME_LIMIT = "feasible_time_limit"
@@ -69,20 +75,7 @@ class WorkerOrderGraph:
 
     def topological_order(self):
         """All workers in an arc-respecting order, lowest index first."""
-        indeg = [len(self.preds[w]) for w in range(self.n)]
-        heap = [w for w in range(self.n) if indeg[w] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            w = heapq.heappop(heap)
-            order.append(w)
-            for u in self.succs[w]:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    heapq.heappush(heap, u)
-        if len(order) != self.n:
-            raise ValueError("worker order graph contains a cycle")
-        return order
+        return topological_order(self.succs, self.n)
 
 
 class SearchState:
@@ -466,23 +459,12 @@ def branch_and_bound(inst, config=None):
 
 @lru_cache(maxsize=None)
 def _digraph_is_acyclic(mask, m):
-    indeg = [0] * m
-    succ = [[] for _ in range(m)]
-    for v in range(m):
-        for w in range(m):
-            if v != w and (mask >> (v * m + w)) & 1:
-                succ[v].append(w)
-                indeg[w] += 1
-    queue = [v for v in range(m) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for u in succ[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                queue.append(u)
-    return seen == m
+    succ = [[w for w in range(m) if v != w and (mask >> (v * m + w)) & 1] for v in range(m)]
+    try:
+        topological_order(succ, m)
+    except CycleError:
+        return False
+    return True
 
 
 def brute_force_optimal(inst):

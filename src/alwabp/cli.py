@@ -207,6 +207,12 @@ def _run_solve(args, path, out):
     return EXIT_INFEASIBLE if result.status == bnb.INFEASIBLE_STATUS else EXIT_OK
 
 
+def _sweep_line(entry, no_timings):
+    c, feasible, ms = entry
+    line = f"C {c} {'feasible' if feasible else 'failed'}"
+    return line if no_timings else f"{line} {ms}"
+
+
 def _run_heur(args, path, out):
     inst = _read_instance(path)
     report = _base_report(args, path, inst)
@@ -229,10 +235,9 @@ def _run_heur(args, path, out):
         _emit(args, report, out)
         return EXIT_INFEASIBLE
     if log:
-        if args.no_timings:
-            log = [" ".join(line.split()[:3]) for line in log]
-        report["sweeps"] = log
-        out.extend(log)
+        sweeps = [_sweep_line(entry, args.no_timings) for entry in log]
+        report["sweeps"] = sweeps
+        out.extend(sweeps)
     report["result"] = {"value": sol.cycle_time, "status": "feasible"}
     report["solution"] = _solution_block(sol)
     _emit(args, report, out)
@@ -249,9 +254,8 @@ def _run_bounds(args, path, out):
     return EXIT_OK
 
 
-def _run_export(args, path, out):
-    inst = _read_instance(path)
-    text = export.emit_model(inst, args.model)
+def _write_text(args, path, inst, text, out):
+    """Write text to the -o file and report it, or append it to stdout."""
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -261,6 +265,11 @@ def _run_export(args, path, out):
     else:
         out.append(text.rstrip("\n"))
     return EXIT_OK
+
+
+def _run_export(args, path, out):
+    inst = _read_instance(path)
+    return _write_text(args, path, inst, export.emit_model(inst, args.model), out)
 
 
 def _run_gen(args, path, out):
@@ -269,16 +278,7 @@ def _run_gen(args, path, out):
     if any(p == INFEASIBLE for p in base_times):
         raise AlwabpError("worker 1 of the base instance must be able to execute every task")
     inst = generate_instance(base_times, base.edges, args.workers, args.var, args.infeasibility, args.seed)
-    text = write_instance(inst)
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-        report = _base_report(args, path, inst)
-        report["wrote"] = args.output
-        _emit(args, report, out)
-    else:
-        out.append(text.rstrip("\n"))
-    return EXIT_OK
+    return _write_text(args, path, inst, write_instance(inst), out)
 
 
 def _run_oracle(args, path, out):
@@ -332,10 +332,7 @@ def main(argv=None):
         argv = sys.argv[1:]
     try:
         code, text = run(argv)
-    except _UsageError as exc:
-        print(f"alwabp: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except AlwabpError as exc:
+    except (_UsageError, AlwabpError) as exc:
         print(f"alwabp: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(text)

@@ -221,6 +221,8 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     feasible result. Stops as soon as the incumbent matches the lower bound;
     otherwise runs until the sweep or time budget is exhausted, but never
     shorter than t_min. The final solution is polished by local search.
+    A given `log` list receives one (cycle time, feasible, milliseconds)
+    tuple per beam call.
     """
     if params is None:
         params = IpbsParams()
@@ -248,8 +250,7 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
             beam = BeamParams(cycle_time=c, gamma=params.gamma, beam_factor=params.beam_factor, seed=seeds.spawn(1)[0])
             sol = beam_search_feasible(inst, beam)
             if log is not None:
-                status = "feasible" if sol is not FAILED else "failed"
-                log.append(f"C {c} {status} {int((time.monotonic() - t_c) * 1000)}")
+                log.append((c, sol is not FAILED, int((time.monotonic() - t_c) * 1000)))
             if sol is not FAILED:
                 best = sol
                 c_up = sol.cycle_time
@@ -262,11 +263,14 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
 
 def local_search(inst, sol):
     """Reduce the number of critical stations (ties broken by cycle time,
-    lexicographically) with four move kinds: a shift off a critical station,
-    a swap involving a critical station, a shift pair through the receiving
-    station, and a worker swap between two stations. First improvement,
-    restarting after each accepted move."""
+    lexicographically) by first improvement, restarting after each accepted
+    move. Move kinds are tried in this order: a shift of one task off a
+    critical station; a swap of a task on a critical station with a task on
+    another station; a shift off a critical station followed by a shift out
+    of the receiving station; and a worker swap between two stations, one of
+    them critical."""
     m = inst.n_workers
+    times = inst.times
     station_worker = list(sol.worker_order)
     station_tasks = [[] for _ in range(m)]
     pos = [0] * inst.n_tasks
@@ -275,177 +279,85 @@ def local_search(inst, sol):
         station_tasks[s].append(t)
         pos[t] = s
 
-    def station_load(s):
-        w = station_worker[s]
-        total = 0
-        for t in station_tasks[s]:
-            p = inst.times[t][w]
-            if p == INFEASIBLE:
-                return math.inf
-            total += p
-        return total
+    def load(s, w):
+        return sum(times[t][w] for t in station_tasks[s])
 
-    loads = [station_load(s) for s in range(m)]
-
-    def state():
+    def rank(loads):
         cycle = max(loads)
-        return cycle, sum(1 for x in loads if x == cycle)
+        return cycle, loads.count(cycle)
 
-    def precedence_ok(t, new_pos, override):
+    def fits(t, s, override):
+        # t can run on station s's worker, with the tasks in override placed
+        # at the given stations, without breaking a precedence
+        if times[t][station_worker[s]] == INFEASIBLE:
+            return False
         for p in inst.preds_star[t]:
-            if override.get(p, pos[p]) > new_pos:
+            if override.get(p, pos[p]) > s:
                 return False
-        for s in inst.succs_star[t]:
-            if override.get(s, pos[s]) < new_pos:
+        for q in inst.succs_star[t]:
+            if override.get(q, pos[q]) < s:
                 return False
         return True
 
-    def shift_delta(t, a, b):
-        # load change of stations a -> b when task t moves; None if illegal
-        wb = station_worker[b]
-        p = inst.times[t][wb]
-        if p == INFEASIBLE or not precedence_ok(t, b, {t: b}):
-            return None
-        return loads[a] - inst.times[t][station_worker[a]], loads[b] + p
+    def shifted(loads, t, a, b):
+        # loads after task t moves from station a to station b
+        trial = list(loads)
+        trial[a] -= times[t][station_worker[a]]
+        trial[b] += times[t][station_worker[b]]
+        return trial
 
-    def apply_shift(t, a, b):
-        station_tasks[a].remove(t)
-        station_tasks[b].append(t)
-        pos[t] = b
-        loads[a] -= inst.times[t][station_worker[a]]
-        loads[b] += inst.times[t][station_worker[b]]
-
-    def improved(trial_loads, base):
-        cycle = max(trial_loads)
-        crit = sum(1 for x in trial_loads if x == cycle)
-        return (cycle, crit) < base
-
-    while True:
-        base = state()
-        cycle = base[0]
+    def moves(cycle):
+        # yields (trial loads, shifts as (task, from, to), swapped stations)
         critical = [s for s in range(m) if loads[s] == cycle]
-        move = None
-
         for a in critical:
-            for t in list(station_tasks[a]):
+            for t in station_tasks[a]:
+                for b in range(m):
+                    if b != a and fits(t, b, {}):
+                        yield shifted(loads, t, a, b), ((t, a, b),), None
+        for a in critical:
+            for t1 in station_tasks[a]:
                 for b in range(m):
                     if b == a:
                         continue
-                    res = shift_delta(t, a, b)
-                    if res is None:
+                    for t2 in station_tasks[b]:
+                        override = {t1: b, t2: a}
+                        if fits(t1, b, override) and fits(t2, a, override):
+                            trial = shifted(shifted(loads, t1, a, b), t2, b, a)
+                            yield trial, ((t1, a, b), (t2, b, a)), None
+        # two chained shifts; the first may worsen before the second repairs
+        for a in critical:
+            for t1 in station_tasks[a]:
+                for b in range(m):
+                    if b == a or not fits(t1, b, {}):
                         continue
-                    trial = list(loads)
-                    trial[a], trial[b] = res
-                    if improved(trial, base):
-                        move = ("shift", t, a, b)
-                        break
-                if move:
-                    break
-            if move:
-                break
+                    mid = shifted(loads, t1, a, b)
+                    for t2 in station_tasks[b] + [t1]:
+                        for d in range(m):
+                            if d != b and (t2 != t1 or d != a) and fits(t2, d, {t1: b}):
+                                yield shifted(mid, t2, b, d), ((t1, a, b), (t2, b, d)), None
+        for a in range(m):
+            for b in range(a + 1, m):
+                if loads[a] != cycle and loads[b] != cycle:
+                    continue
+                trial = list(loads)
+                trial[a], trial[b] = load(a, station_worker[b]), load(b, station_worker[a])
+                if not math.isinf(trial[a]) and not math.isinf(trial[b]):
+                    yield trial, (), (a, b)
 
-        if move is None:
-            for a in critical:
-                for t1 in list(station_tasks[a]):
-                    for b in range(m):
-                        if b == a:
-                            continue
-                        for t2 in list(station_tasks[b]):
-                            wa, wb = station_worker[a], station_worker[b]
-                            p1b, p2a = inst.times[t1][wb], inst.times[t2][wa]
-                            if p1b == INFEASIBLE or p2a == INFEASIBLE:
-                                continue
-                            override = {t1: b, t2: a}
-                            if not precedence_ok(t1, b, override) or not precedence_ok(t2, a, override):
-                                continue
-                            trial = list(loads)
-                            trial[a] += p2a - inst.times[t1][wa]
-                            trial[b] += p1b - inst.times[t2][wb]
-                            if improved(trial, base):
-                                move = ("swap", t1, a, t2, b)
-                                break
-                        if move:
-                            break
-                    if move:
-                        break
-                if move:
-                    break
-
-        if move is None:
-            # two chained shifts; the first may worsen before the second repairs
-            for a in critical:
-                for t1 in list(station_tasks[a]):
-                    for b in range(m):
-                        if b == a:
-                            continue
-                        first = shift_delta(t1, a, b)
-                        if first is None:
-                            continue
-                        mid = list(loads)
-                        mid[a], mid[b] = first
-                        saved_pos = pos[t1]
-                        pos[t1] = b
-                        for t2 in station_tasks[b] + [t1]:
-                            for d in range(m):
-                                if d == b or (t2 == t1 and d == a):
-                                    continue
-                                wd = station_worker[d]
-                                p = inst.times[t2][wd]
-                                if p == INFEASIBLE or not precedence_ok(t2, d, {t2: d}):
-                                    continue
-                                trial = list(mid)
-                                trial[b] -= inst.times[t2][station_worker[b]]
-                                trial[d] += p
-                                if improved(trial, base):
-                                    move = ("double", t1, a, b, t2, d)
-                                    break
-                            if move:
-                                break
-                        pos[t1] = saved_pos
-                        if move:
-                            break
-                    if move:
-                        break
-                if move:
-                    break
-
-        if move is None:
-            for a in range(m):
-                for b in range(a + 1, m):
-                    if loads[a] != cycle and loads[b] != cycle:
-                        continue
-                    wa, wb = station_worker[a], station_worker[b]
-                    load_a = sum(inst.times[t][wb] for t in station_tasks[a])
-                    load_b = sum(inst.times[t][wa] for t in station_tasks[b])
-                    if math.isinf(load_a) or math.isinf(load_b):
-                        continue
-                    trial = list(loads)
-                    trial[a], trial[b] = load_a, load_b
-                    if improved(trial, base):
-                        move = ("wswap", a, b)
-                        break
-                if move:
-                    break
-
-        if move is None:
+    loads = [load(s, station_worker[s]) for s in range(m)]
+    while True:
+        base = rank(loads)
+        found = next((mv for mv in moves(base[0]) if rank(mv[0]) < base), None)
+        if found is None:
             break
-        kind = move[0]
-        if kind == "shift":
-            _, t, a, b = move
-            apply_shift(t, a, b)
-        elif kind == "swap":
-            _, t1, a, t2, b = move
-            apply_shift(t1, a, b)
-            apply_shift(t2, b, a)
-        elif kind == "double":
-            _, t1, a, b, t2, d = move
-            apply_shift(t1, a, b)
-            apply_shift(t2, b, d)
-        else:
-            _, a, b = move
+        loads, shifts, swapped = found
+        for t, a, b in shifts:
+            station_tasks[a].remove(t)
+            station_tasks[b].append(t)
+            pos[t] = b
+        if swapped:
+            a, b = swapped
             station_worker[a], station_worker[b] = station_worker[b], station_worker[a]
-            loads[a] = station_load(a)
-            loads[b] = station_load(b)
 
     assignment = [0] * inst.n_tasks
     for s in range(m):

@@ -7,6 +7,7 @@ never a large finite number.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -51,24 +52,24 @@ def _check_nodes(edges, n):
             raise ValueError(f"edge ({a},{b}) out of range for {n} nodes")
 
 
-def _topological_order(edges, n):
-    """Kahn topological order of 0..n-1; raises CycleError on a cycle."""
-    succ = [[] for _ in range(n)]
+def topological_order(succ, n):
+    """Kahn order of nodes 0..n-1 under the successor lists succ, popping
+    the lowest ready index first; raises CycleError on a cycle."""
     indeg = [0] * n
-    for a, b in edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
+    for v in range(n):
+        for u in succ[v]:
+            indeg[u] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]  # sorted, so already a heap
     order = []
-    while queue:
-        v = queue.pop()
+    while ready:
+        v = heapq.heappop(ready)
         order.append(v)
         for u in succ[v]:
             indeg[u] -= 1
             if indeg[u] == 0:
-                queue.append(u)
+                heapq.heappush(ready, u)
     if len(order) != n:
-        raise CycleError("cyclic precedence")
+        raise CycleError("graph contains a cycle")
     return order
 
 
@@ -79,12 +80,11 @@ def transitive_closure(edges, n):
     topological order.
     """
     _check_nodes(edges, n)
-    order = _topological_order(edges, n)
     succ = [[] for _ in range(n)]
     for a, b in edges:
         succ[a].append(b)
     reach = [0] * n
-    for v in reversed(order):
+    for v in reversed(topological_order(succ, n)):
         m = 0
         for u in succ[v]:
             m |= (1 << u) | reach[u]

@@ -73,7 +73,11 @@ class TestHeur:
         assert code == EXIT_OK
         sweep_lines = [l for l in text.splitlines() if l.startswith("C ")]
         assert sweep_lines
-        assert all(l.split()[2] in ("feasible", "failed") for l in sweep_lines)
+        assert all(len(l.split()) == 3 and l.split()[2] in ("feasible", "failed") for l in sweep_lines)
+        _, timed = run(["heur", fig1_path, "--seed", "42", "--verbose"])
+        timed_lines = [l for l in timed.splitlines() if l.startswith("C ")]
+        assert [l.rsplit(" ", 1)[0] for l in timed_lines] == sweep_lines
+        assert all(l.split()[3].isdigit() for l in timed_lines)
 
 
 class TestBounds:

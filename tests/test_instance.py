@@ -18,6 +18,7 @@ from alwabp import (
     transitive_reduction,
     write_instance,
 )
+from alwabp.instance import topological_order
 from conftest import FIG1_EDGES, FIG1_TEXT, SINGLE_TEXT, closure_by_reachability, random_instance
 
 
@@ -139,6 +140,10 @@ class TestClosureReduction:
             transitive_closure({(0, 1), (1, 0)}, 2)
         with pytest.raises(CycleError):
             transitive_reduction({(0, 1), (1, 2), (2, 0)}, 3)
+
+    def test_topological_order_rejects_two_cycle(self):
+        with pytest.raises(CycleError):
+            topological_order([[1], [0]], 2)
 
     @given(dag_strategy())
     @settings(max_examples=200, deadline=None)
