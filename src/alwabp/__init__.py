@@ -26,10 +26,6 @@ from .bounds import (
     BoundReport,
     StationWindow,
     all_bounds,
-    bound_l1,
-    bound_l2,
-    disjunction_improve,
-    improve_l1_additive,
     lc1,
     lc2,
     lc3,

@@ -32,7 +32,6 @@ OPTIMAL = "optimal"
 FEASIBLE_TIME_LIMIT = "feasible_time_limit"
 INFEASIBLE_STATUS = "infeasible"
 
-TIME_POLL_NODES = 256
 ORACLE_LEAF_LIMIT = 10**8
 
 
@@ -257,17 +256,6 @@ def apply_reduction_rules(state, t, w, gub):
     return False
 
 
-def _partial_lc1_after(state, totals, max_load, t, w):
-    """Average-load bound if t were pinned on w: max of the new worker loads
-    and the ceiling of the effective total over the stations."""
-    p = state.eff[t, w]
-    if math.isinf(p):
-        return math.inf
-    m = state.inst.n_workers
-    new_total = totals[0] - totals[1][t] + p
-    return max(max_load, state.loads[w] + p, math.ceil(new_total / m - 1e-9))
-
-
 def _immediate_cycle(state, t, w):
     inst = state.inst
     h = state.order_graph
@@ -287,32 +275,31 @@ def select_branch_task(state, gub):
     with the largest worker-minimal average-load bound, then the smallest
     index. A worker is infeasible for a task when its cell is excluded, when
     pinning would create an immediate cyclic worker dependency, or when the
-    average-load bound after pinning reaches the incumbent."""
+    average-load bound after pinning (the max of the new worker loads and
+    the ceiling of the effective total over the stations) reaches the
+    incumbent. Returns the task and the (bound, worker) pairs of its
+    feasible workers, in worker order."""
     inst = state.inst
+    m = inst.n_workers
     p_min = state.eff.min(axis=1)
-    totals = (float(p_min.sum()), p_min)
+    total = float(p_min.sum())
     max_load = max(state.loads)
-    best_key = None
-    best_task = None
+    best = None
     for t in range(inst.n_tasks):
         if t in state.assignment:
             continue
-        infeasible = 0
-        task_lb = math.inf
-        for w in range(inst.n_workers):
-            if math.isinf(state.eff[t, w]) or _immediate_cycle(state, t, w):
-                infeasible += 1
+        pairs = []
+        for w in range(m):
+            p = state.eff[t, w]
+            if math.isinf(p) or _immediate_cycle(state, t, w):
                 continue
-            after = _partial_lc1_after(state, totals, max_load, t, w)
-            if after >= gub:
-                infeasible += 1
-            else:
-                task_lb = min(task_lb, after)
-        key = (infeasible, task_lb, -t)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_task = t
-    return best_task
+            after = max(max_load, state.loads[w] + p, math.ceil((total - p_min[t] + p) / m - 1e-9))
+            if after < gub:
+                pairs.append((after, w))
+        key = (m - len(pairs), min(pairs)[0] if pairs else math.inf, -t)
+        if best is None or key > best[0]:
+            best = (key, t, pairs)
+    return best[1], best[2]
 
 
 def _node_bound(state, gub, config):
@@ -378,9 +365,8 @@ class _Search:
 
     def visit(self, llb):
         self.nodes += 1
-        if self.deadline is not None and self.nodes % TIME_POLL_NODES == 0:
-            if time.monotonic() > self.deadline:
-                raise _TimeUp
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _TimeUp
         state = self.state
         inst = self.inst
         if len(state.assignment) == inst.n_tasks:
@@ -391,18 +377,10 @@ class _Search:
                 assignment = [state.assignment[t] for t in range(inst.n_tasks)]
                 self.incumbent = Solution(order, assignment, value)
             return
-        t = select_branch_task(state, self.gub)
-        p_min = state.eff.min(axis=1)
-        totals = (float(p_min.sum()), p_min)
-        max_load = max(state.loads)
-        candidates = []
-        for w in range(inst.n_workers):
-            if math.isinf(state.eff[t, w]) or not assignment_is_valid(state, t, w):
-                continue
-            after = _partial_lc1_after(state, totals, max_load, t, w)
-            if after < self.gub:
-                candidates.append((after, w))
-        candidates.sort()
+        t, pairs = select_branch_task(state, self.gub)
+        # a valid assignment never closes an immediate cycle, so this keeps
+        # every worker the task can go to below the incumbent
+        candidates = sorted((after, w) for after, w in pairs if assignment_is_valid(state, t, w))
         for after, w in candidates:
             if after >= self.gub:  # the incumbent may have improved mid-loop
                 continue
@@ -426,13 +404,13 @@ def branch_and_bound(inst, config=None):
     root_report = lb.all_bounds(inst, lb.NATIVE_BOUNDS, config.l1_iters, config.l2_iters)
     root_lb = root_report.best
 
+    deadline = None if config.time_limit is None else t0 + config.time_limit
     incumbent = config.incumbent
     if config.heuristic_on:
-        params = IpbsParams(
-            t_min=0.0,
-            t_max=max(0.5, inst.n_tasks * inst.n_workers / 10),
-            seed=config.seed,
-        )
+        t_max = max(0.5, inst.n_tasks * inst.n_workers / 10)
+        if deadline is not None:
+            t_max = min(t_max, max(0.0, deadline - time.monotonic()))
+        params = IpbsParams(t_min=0.0, t_max=t_max, seed=config.seed)
         try:
             heur = ipbs(inst, params, lower_bound=root_lb)
         except InfeasibleInstanceError:
@@ -444,7 +422,6 @@ def branch_and_bound(inst, config=None):
     if incumbent is not None and root_lb >= gub:
         return BnbResult(incumbent, gub, OPTIMAL, 1, time.monotonic() - t0, root_report)
 
-    deadline = None if config.time_limit is None else t0 + config.time_limit
     search = _Search(inst, config, gub, incumbent, deadline)
     status = OPTIMAL
     try:

@@ -168,7 +168,7 @@ def _l1_chain(times, max_iters, cap=None):
     ascent. Each value is computed only when it is requested, so taking
     just L1 runs no knapsack."""
     best_val, lam = _l1_ascent(times, max_iters)
-    p_min_max = int(np.nanmin(np.where(np.isfinite(times), times, np.nan), axis=1).max())
+    p_min_max = int(times.min(axis=1).max())
     l1 = max(math.ceil(best_val - 1e-9), p_min_max)
     yield l1
     l1a = _l1_additive(times, l1, lam, cap)
@@ -176,42 +176,22 @@ def _l1_chain(times, max_iters, cap=None):
     yield _disjunction_value(times, l1a)
 
 
-def bound_l1(inst, max_iters=DEFAULT_L1_ITERS):
-    """Lagrangian bound from relaxing the per-worker cycle constraints;
-    precedences are ignored. Monotone non-decreasing over iterations."""
-    return next(_l1_chain(inst.times_array, max_iters))
+def _knapsack(weights, profits, capacity):
+    """0/1 knapsack for every capacity 0..capacity (1-D DP over the items).
 
-
-def knapsack_all_capacities(weights, profits, capacity):
-    """Best 0/1-knapsack profit for every capacity 0..capacity (1-D DP)."""
-    dp = np.zeros(capacity + 1)
-    for w, p in zip(weights, profits):
+    Returns the best profit per capacity and a bool table whose cell [k, c]
+    says that taking item k strictly improved capacity c. On a tie the item
+    is not taken, so tracing back from the last item yields, among the best
+    subsets, the one that prefers lower-index items.
+    """
+    best = np.zeros(capacity + 1)
+    took = np.zeros((len(weights), capacity + 1), dtype=bool)
+    for k, (w, p) in enumerate(zip(weights, profits)):
         if w <= capacity and p > 0:
-            np.maximum(dp[w:], dp[:-w] + p, out=dp[w:])
-    return dp
-
-
-def _knapsack_table(weights, profits, capacity):
-    """Full DP table (items+1 rows) for traceback of one optimal subset."""
-    table = np.zeros((len(weights) + 1, capacity + 1))
-    for k, (w, p) in enumerate(zip(weights, profits), start=1):
-        prev = table[k - 1]
-        row = prev.copy()
-        if w <= capacity and p > 0:
-            np.maximum(row[w:], prev[:-w] + p, out=row[w:])
-        table[k] = row
-    return table
-
-
-def _knapsack_selection(table, weights, capacity):
-    # On a value tie the item is skipped, so lower-index items win.
-    chosen = []
-    c = capacity
-    for k in range(len(weights), 0, -1):
-        if table[k, c] != table[k - 1, c]:
-            chosen.append(k - 1)
-            c -= weights[k - 1]
-    return chosen
+            taken = best[:-w] + p
+            np.greater(taken, best[w:], out=took[k, w:])
+            np.maximum(best[w:], taken, out=best[w:])
+    return best, took
 
 
 def _l1_additive(times, l1, lam, cap=None):
@@ -260,7 +240,7 @@ def _l1_additive(times, l1, lam, cap=None):
     for w in range(m):
         weights = [p for p, _ in movable[w]]
         profits = np.array([g for _, g in movable[w]])
-        tables.append(knapsack_all_capacities(weights, profits, hi))
+        tables.append(_knapsack(weights, profits, hi)[0])
         totals.append(float(profits.sum()))
 
     def passes(c):
@@ -285,13 +265,6 @@ def _l1_additive(times, l1, lam, cap=None):
     return max(l1, a)
 
 
-def improve_l1_additive(inst, l1, max_iters=DEFAULT_L1_ITERS):
-    """Knapsack-based additive improvement; never below the input bound."""
-    times = inst.times_array
-    _, lam = _l1_ascent(times, max_iters)
-    return _l1_additive(times, l1, lam)
-
-
 def _disjunction_value(times, base):
     """Strengthening by a disjunction on the machine of a single task.
 
@@ -301,7 +274,7 @@ def _disjunction_value(times, base):
     machines is valid, and so is the maximum over tasks.
     """
     n_tasks, m = times.shape
-    p_min = np.nanmin(np.where(np.isfinite(times), times, np.nan), axis=1)
+    p_min = times.min(axis=1)
     total = p_min.sum()
     if n_tasks == 1:
         others_max = np.zeros(1)
@@ -317,12 +290,6 @@ def _disjunction_value(times, base):
     return max(base, int(per_task.max()))
 
 
-def disjunction_improve(inst, base):
-    """Disjunctive strengthening of a bound of either machine-relaxation
-    family (L1a or L2); never below the input."""
-    return _disjunction_value(inst.times_array, base)
-
-
 def _l2_value(times, max_iters):
     """Lagrangian bound from relaxing the task assignment constraints.
 
@@ -334,9 +301,8 @@ def _l2_value(times, max_iters):
     """
     n_tasks, m = times.shape
     finite = np.isfinite(times)
-    p_min = np.nanmin(np.where(finite, times, np.nan), axis=1)
-    mu = p_min.astype(float).copy()
-    step0 = max(1.0, float(p_min.mean()) / 2.0)
+    mu = times.min(axis=1)
+    step0 = max(1.0, float(mu.mean()) / 2.0)
     best = 1
 
     items = []  # per machine: (task ids, integer weights)
@@ -353,28 +319,25 @@ def _l2_value(times, max_iters):
         g = np.zeros(hi + 1)
         for w in range(m):
             tasks, weights = items[w]
-            table = _knapsack_table(weights, mu_plus[tasks], caps[w])
-            tables.append(table)
-            last = table[-1]
-            g[: caps[w] + 1] += last
-            g[caps[w] + 1 :] += last[-1]
+            best_row, took = _knapsack(weights, mu_plus[tasks], caps[w])
+            tables.append(took)
+            g[: caps[w] + 1] += best_row
+            g[caps[w] + 1 :] += best_row[-1]
         reached = np.flatnonzero(g >= target - 1e-9)
         c_star = int(reached[0]) if reached.size else hi + 1
         best = max(best, c_star)
 
         coverage = np.zeros(n_tasks)
         for w in range(m):
+            # trace back the subset behind the best profit at c_star
             tasks, weights = items[w]
-            sel = _knapsack_selection(tables[w], weights, min(c_star, caps[w]))
-            for k in sel:
-                coverage[tasks[k]] += 1
+            c = min(c_star, caps[w])
+            for k in range(len(tasks) - 1, -1, -1):
+                if tables[w][k, c]:
+                    coverage[tasks[k]] += 1
+                    c -= weights[k]
         mu = mu + (step0 / it) * (1.0 - coverage)
     return best
-
-
-def bound_l2(inst, max_iters=DEFAULT_L2_ITERS):
-    """Assignment-relaxation Lagrangian bound; deterministic."""
-    return _l2_value(inst.times_array, max_iters)
 
 
 def _l2_chain(times, max_iters):

@@ -32,18 +32,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# flags that only some subcommands read, added by name
+_FLAGS = {
+    "--seed": {"type": int, "default": 42},
+    "--time-limit": {"type": float, "default": None, "help": "seconds"},
+    "--verbose": {"action": "store_true"},
+    "--no-timings": {"action": "store_true", "help": "omit timing fields from the report"},
+}
+
+
 def _build_parser():
     parser = _Parser(prog="alwabp", description="Assembly line worker assignment and balancing solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *flags):
         p.add_argument("instance", nargs="?", help="instance file in the canonical format")
         p.add_argument("--glob", dest="glob_pattern", help="process every file matching the pattern")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--time-limit", type=float, default=None, help="seconds")
         p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--verbose", action="store_true")
-        p.add_argument("--no-timings", action="store_true", help="omit timing fields from the report")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
 
     def heuristic_flags(p):
         p.add_argument("--gamma", type=int, default=heuristic.DEFAULT_GAMMA, help="beam width")
@@ -58,17 +65,17 @@ def _build_parser():
         p.add_argument("--l2-iters", type=int, default=bounds.DEFAULT_L2_ITERS)
 
     p = sub.add_parser("solve", help="branch-and-bound to optimality")
-    common(p)
+    common(p, "--seed", "--time-limit", "--no-timings")
     bound_flags(p)
     p.add_argument("--no-heuristic", action="store_true", help="skip the heuristic incumbent")
     p.add_argument("--no-reduction-rules", action="store_true")
 
     p = sub.add_parser("heur", help="interval beam search only")
-    common(p)
+    common(p, "--seed", "--time-limit", "--verbose", "--no-timings")
     heuristic_flags(p)
 
     p = sub.add_parser("bounds", help="lower bounds only")
-    common(p)
+    common(p, "--no-timings")
     bound_flags(p)
 
     p = sub.add_parser("export", help="emit a MIP model in LP format")
@@ -77,7 +84,7 @@ def _build_parser():
     p.add_argument("-o", "--output", help="output path (default: stdout)")
 
     p = sub.add_parser("gen", help="generate an instance from a base instance")
-    common(p)
+    common(p, "--seed")
     p.add_argument("--workers", type=int, required=True)
     p.add_argument("--var", choices=("low", "high"), default="low")
     p.add_argument("--inf", type=float, default=0.0, dest="infeasibility")

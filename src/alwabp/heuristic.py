@@ -167,12 +167,11 @@ def _to_solution(inst, stations, workers_mask):
     return Solution(order, assignment, cycle)
 
 
-def beam_search_feasible(inst, params, rng=None):
+def beam_search_feasible(inst, params):
     """Probabilistic beam search for a full assignment with cycle time at
     most params.cycle_time. Returns the first complete solution, or FAILED
     (None) once all stations have been processed."""
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(params.seed)
     capacity = params.cycle_time
     pw = [max_pw_priority(inst, t) for t in range(inst.n_tasks)]
     full = (1 << inst.n_tasks) - 1
@@ -331,9 +330,9 @@ def local_search(inst, sol):
                     if b == a or not fits(t1, b, {}):
                         continue
                     mid = shifted(loads, t1, a, b)
-                    for t2 in station_tasks[b] + [t1]:
+                    for t2 in station_tasks[b]:
                         for d in range(m):
-                            if d != b and (t2 != t1 or d != a) and fits(t2, d, {t1: b}):
+                            if d != b and fits(t2, d, {t1: b}):
                                 yield shifted(mid, t2, b, d), ((t1, a, b), (t2, b, d)), None
         for a in range(m):
             for b in range(a + 1, m):

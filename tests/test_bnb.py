@@ -1,5 +1,7 @@
 import math
+import time
 
+import numpy as np
 import pytest
 
 from alwabp import (
@@ -14,13 +16,14 @@ from alwabp import (
     branch_and_bound,
     brute_force_optimal,
     check_solution_against_model,
+    generate_instance,
     select_branch_task,
     set_assignment,
     unset_assignment,
     validate_solution,
 )
 from alwabp import bnb, bounds
-from alwabp.bnb import FEASIBLE_TIME_LIMIT, INFEASIBLE_STATUS, OPTIMAL, _node_bound, _partial_lc1_after
+from alwabp.bnb import FEASIBLE_TIME_LIMIT, INFEASIBLE_STATUS, OPTIMAL, _node_bound
 from conftest import count_calls, random_instance
 
 
@@ -161,7 +164,8 @@ class TestReductionRules:
 
 
 def reference_branch_choice(state, gub):
-    """Transparent restatement of the three-level branching rule."""
+    """Transparent restatement of the three-level branching rule; returns
+    the task and the (bound, worker) pairs of its feasible workers."""
     inst = state.inst
     p_min = [min(state.eff[t, w] for w in range(inst.n_workers)) for t in range(inst.n_tasks)]
     total = sum(p_min)
@@ -171,7 +175,7 @@ def reference_branch_choice(state, gub):
         if t in state.assignment:
             continue
         infeasible = 0
-        lbs = []
+        pairs = []
         for w in range(inst.n_workers):
             cell = state.eff[t, w]
             if math.isinf(cell):
@@ -197,10 +201,11 @@ def reference_branch_choice(state, gub):
             if after >= gub:
                 infeasible += 1
             else:
-                lbs.append(after)
-        task_lb = min(lbs) if lbs else math.inf
-        scored.append((-infeasible, -task_lb, t))
-    return min(scored)[2]
+                pairs.append((after, w))
+        task_lb = min(after for after, _ in pairs) if pairs else math.inf
+        scored.append(((-infeasible, -task_lb, t), pairs))
+    key, pairs = min(scored)
+    return key[2], pairs
 
 
 class TestBranchSelection:
@@ -226,20 +231,20 @@ class TestBranchSelection:
             set(),
         )
         state = SearchState(inst)
-        assert select_branch_task(state, gub=math.inf) == 1
+        assert select_branch_task(state, gub=math.inf)[0] == 1
 
     def test_full_tie_takes_lowest_index(self):
         inst = Instance([[2, 2], [2, 2], [2, 2]], set())
         state = SearchState(inst)
-        assert select_branch_task(state, gub=math.inf) == 0
+        assert select_branch_task(state, gub=math.inf)[0] == 0
 
     def test_partial_lc1_accounts_loads(self, fig1):
         state = SearchState(fig1)
         set_assignment(state, 5, 0)
-        p_min = state.eff.min(axis=1)
-        totals = (float(p_min.sum()), p_min)
-        after = _partial_lc1_after(state, totals, max(state.loads), 1, 0)
-        assert after >= state.loads[0] + 4
+        t, pairs = select_branch_task(state, gub=math.inf)
+        assert 0 in [w for _, w in pairs]  # the loaded worker is scored
+        for after, w in pairs:
+            assert after >= state.loads[w] + state.eff[t, w]
 
 
 class TestNodeBound:
@@ -337,6 +342,19 @@ class TestBranchAndBound:
         assert result.status in (FEASIBLE_TIME_LIMIT, OPTIMAL)
         if result.status == FEASIBLE_TIME_LIMIT:
             assert result.solution is not None
+
+    def test_time_limit_holds_at_scale(self):
+        # the 70x10 instance of acceptance criterion 9; the warm start's own
+        # budget there is n * m / 10 = 70 s, so the deadline must cap it
+        rng = np.random.Generator(np.random.PCG64(2024))
+        base = [int(rng.integers(1, 100)) for _ in range(70)]
+        edges = {(i, j) for i in range(70) for j in range(i + 1, 70) if rng.random() < 0.04}
+        inst = generate_instance(base, edges, 10, "low", 0.1, seed=2024)
+        t0 = time.monotonic()
+        result = branch_and_bound(inst, BnbConfig(time_limit=1.0))
+        assert time.monotonic() - t0 < 2.0
+        assert result.status == FEASIBLE_TIME_LIMIT
+        assert validate_solution(inst, result.solution) == []
 
     def test_gub_never_below_optimum(self):
         for seed in range(15):

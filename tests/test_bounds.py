@@ -1,5 +1,7 @@
-import time
+import hashlib
+import itertools
 
+import numpy as np
 import pytest
 
 from alwabp import bounds
@@ -7,23 +9,24 @@ from alwabp import (
     INFEASIBLE,
     Instance,
     all_bounds,
-    bound_l1,
-    bound_l2,
     brute_force_optimal,
-    disjunction_improve,
-    improve_l1_additive,
     lc1,
     lc2,
     lc3,
     station_windows,
 )
-from alwabp.bounds import ALL_BOUNDS, NATIVE_BOUNDS
+from alwabp.bounds import ALL_BOUNDS, DEFAULT_L1_ITERS, DEFAULT_L2_ITERS, NATIVE_BOUNDS
 from conftest import count_calls, rcmax_optimal, random_instance
 
 
 def permuted_workers(inst, perm):
     times = [[row[perm[w]] for w in range(inst.n_workers)] for row in inst.times]
     return Instance(times, inst.edges)
+
+
+def bound_values(inst, names, l1_iters=DEFAULT_L1_ITERS, l2_iters=DEFAULT_L2_ITERS):
+    report = all_bounds(inst, names, l1_iters, l2_iters)
+    return [report.value(name) for name in names]
 
 
 class TestLC1:
@@ -93,37 +96,35 @@ class TestLC3:
 
 class TestL1:
     def test_fig1_bracket(self, fig1):
-        v = bound_l1(fig1, 50)
+        [v] = bound_values(fig1, ("L1",), l1_iters=50)
         assert 4 <= v <= rcmax_optimal(fig1) == 6
 
     def test_single(self, single):
-        assert bound_l1(single, 1) == 7
+        assert bound_values(single, ("L1",), l1_iters=1) == [7]
 
     def test_forced_sum(self):
         inst = Instance([[3], [4]], set())
-        assert bound_l1(inst, 5) == 7
+        assert bound_values(inst, ("L1",), l1_iters=5) == [7]
 
     def test_monotone_in_iterations(self):
         for seed in range(10):
             inst = random_instance(seed)
-            values = [bound_l1(inst, k) for k in range(1, 12)]
+            values = [bound_values(inst, ("L1",), l1_iters=k)[0] for k in range(1, 12)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestL1Additive:
     def test_fig1_bracket(self, fig1):
-        l1 = bound_l1(fig1)
-        v = improve_l1_additive(fig1, l1)
+        l1, v = bound_values(fig1, ("L1", "L1a"))
         assert l1 <= v <= rcmax_optimal(fig1)
 
     def test_single(self, single):
-        assert improve_l1_additive(single, 7) == 7
+        assert bound_values(single, ("L1a",)) == [7]
 
     def test_never_decreases(self):
         for seed in range(100):
             inst = random_instance(seed)
-            l1 = bound_l1(inst)
-            v = improve_l1_additive(inst, l1)
+            l1, v = bound_values(inst, ("L1", "L1a"))
             assert v >= l1
             assert v <= rcmax_optimal(inst)
 
@@ -131,29 +132,57 @@ class TestL1Additive:
 class TestDisjunction:
     def test_fig1_bracket(self, fig1):
         opt = rcmax_optimal(fig1)
-        base = improve_l1_additive(fig1, bound_l1(fig1))
-        assert base <= disjunction_improve(fig1, base) <= opt
+        base, v = bound_values(fig1, ("L1a", "L1a_bar"))
+        assert base <= v <= opt
 
     def test_single(self, single):
-        assert disjunction_improve(single, 7) == 7
+        assert bound_values(single, ("L1a_bar", "L2_bar")) == [7, 7]
 
     def test_never_decreases(self):
         for seed in range(100):
             inst = random_instance(seed)
-            base = bound_l2(inst)
-            v = disjunction_improve(inst, base)
+            base, v = bound_values(inst, ("L2", "L2_bar"))
             assert base <= v <= rcmax_optimal(inst)
 
 
 class TestL2:
     def test_fig1_bracket(self, fig1):
-        assert 1 <= bound_l2(fig1, 20) <= rcmax_optimal(fig1)
+        [v] = bound_values(fig1, ("L2",), l2_iters=20)
+        assert 1 <= v <= rcmax_optimal(fig1)
 
     def test_single(self, single):
-        assert bound_l2(single, 3) == 7
+        assert bound_values(single, ("L2",), l2_iters=3) == [7]
 
     def test_deterministic(self, fig1):
-        assert bound_l2(fig1, 20) == bound_l2(fig1, 20)
+        assert bound_values(fig1, ("L2",), l2_iters=20) == bound_values(fig1, ("L2",), l2_iters=20)
+
+
+class TestKnapsack:
+    def test_matches_brute_force(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for _ in range(60):
+            n = int(rng.integers(0, 7))
+            weights = [int(x) for x in rng.integers(1, 6, n)]
+            # small integer profits make ties common and keep float sums exact
+            profits = rng.integers(0, 4, n).astype(float)
+            capacity = int(rng.integers(0, 12))
+            best, took = bounds._knapsack(weights, profits, capacity)
+            assert took.shape == (n, capacity + 1)
+            # subsets in increasing bitmask order, so among equal profits the
+            # first one found keeps lower-index items over higher ones
+            subsets = [s for r in range(n + 1) for s in itertools.combinations(range(n), r)]
+            subsets.sort(key=lambda s: sum(1 << k for k in s))
+            for c in range(capacity + 1):
+                fitting = [s for s in subsets if sum(weights[k] for k in s) <= c]
+                top = max(sum(profits[k] for k in s) for s in fitting)
+                assert best[c] == top
+                expected = next(s for s in fitting if sum(profits[k] for k in s) == top)
+                chosen, rem = [], c
+                for k in range(n - 1, -1, -1):
+                    if took[k, rem]:
+                        chosen.append(k)
+                        rem -= weights[k]
+                assert tuple(sorted(chosen)) == expected
 
 
 class TestAllBounds:
@@ -182,24 +211,22 @@ class TestAllBounds:
         assert all(e.elapsed_s >= 0 for e in report.entries)
 
     def test_entries_match_standalone_functions(self):
+        # each entry equals the bound computed on its own, in either order
         for seed in range(100):
             inst = random_instance(seed)
-            l1 = bound_l1(inst)
-            l1a = improve_l1_additive(inst, l1)
-            l2 = bound_l2(inst)
-            expected = {
-                "LC1": lc1(inst),
-                "LC2": lc2(inst),
-                "LC3": lc3(inst),
-                "L1": l1,
-                "L1a": l1a,
-                "L1a_bar": disjunction_improve(inst, l1a),
-                "L2": l2,
-                "L2_bar": disjunction_improve(inst, l2),
-            }
+            expected = {name: all_bounds(inst, (name,)).value(name) for name in ALL_BOUNDS}
             for include in (ALL_BOUNDS, ALL_BOUNDS[::-1]):
                 report = all_bounds(inst, include)
                 assert {e.name: e.value for e in report.entries} == expected, f"seed {seed}"
+
+    def test_values_pinned(self):
+        # sha256 of all eight values on 100 seeded instances; any change to
+        # a bound's value shows here
+        digest = hashlib.sha256()
+        for seed in range(100):
+            report = all_bounds(random_instance(seed), ALL_BOUNDS)
+            digest.update(repr([(e.name, e.value) for e in report.entries]).encode())
+        assert digest.hexdigest() == "62d7281312cd24289d54202853f018de4b0c3d61b5113a0c7a4c1a5b6c4f89fe"
 
 
 class TestSharedWork:

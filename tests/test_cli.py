@@ -161,6 +161,11 @@ class TestErrors:
         assert main(["solve", "x", "--bogus"]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("alwabp:")
 
+    def test_flag_of_another_subcommand(self, fig1_path, capsys):
+        # oracle has no time limit, so the flag is refused, not ignored
+        assert main(["oracle", fig1_path, "--time-limit", "5"]) == EXIT_ERROR
+        assert "--time-limit" in capsys.readouterr().err
+
     def test_unreadable_file(self, capsys):
         assert main(["solve", "/nonexistent/path.alwabp"]) == EXIT_ERROR
         assert "cannot read" in capsys.readouterr().err
