@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,7 @@ class IpbsParams:
 
 def max_pw_priority(inst, t):
     """Minimum positional weight: own minimum time plus all successors'."""
-    p = inst.min_times
-    return p[t] + sum(p[j] for j in inst.succs_star[t])
+    return inst.beam_tables.pw[t]
 
 
 def _iter_bits(mask):
@@ -100,58 +100,60 @@ def _rlb_sum(inst, assigned_mask, workers_mask):
     force a task, and their infeasibility marks land only in columns of
     already-consumed workers. The min over the remaining workers is thus
     unaffected, a state they find dead already scores None, and the
-    instance matrix can be used directly."""
-    rows = [t for t in range(inst.n_tasks) if not (assigned_mask >> t) & 1]
-    if not rows:
-        return 0
-    cols = list(_iter_bits(workers_mask))
-    if not cols:
+    instance's own times can be used directly."""
+    unassigned = ((1 << inst.n_tasks) - 1) ^ assigned_mask
+    row, dead = inst.beam_tables.row_minima(workers_mask)
+    if unassigned & dead:
         return None
-    mins = inst.times_array[np.ix_(rows, cols)].min(axis=1)
-    if np.isinf(mins).any():
-        return None
-    return int(mins.sum())
+    total = 0
+    while unassigned:
+        low = unassigned & -unassigned
+        total += row[low.bit_length() - 1]
+        unassigned ^= low
+    return total
 
 
-def _fill_station(inst, node, w, capacity, rng, pw):
+def _fill_station(inst, node, w, capacity, rng, tables):
     """Greedy probabilistic fill of one station for worker w; tasks are drawn
     with probability proportional to their positional weight until nothing
-    available fits the residual capacity."""
-    avail = node.avail_mask
-    assigned = node.assigned_mask
+    available fits the residual capacity. A draw walks the candidates in
+    ascending task order and takes the first whose cumulative weight exceeds
+    rng.random() times the total; a lone candidate is taken without a draw."""
+    fit_times = tables.fit_times[w]
+    fit_masks = tables.fit_masks[w]
+    pw = tables.pw
     times = inst.times
     pred_mask = inst.pred_mask
+    succ_lists = inst.succ_lists
+    avail = node.avail_mask
+    assigned = node.assigned_mask
     load = 0
     chosen = []
     while True:
-        cands = []
-        for t in _iter_bits(avail):
-            p = times[t][w]
-            if p != INFEASIBLE and p <= capacity - load:
-                cands.append(t)
+        cands = avail & fit_masks[bisect_right(fit_times, capacity - load)]
         if not cands:
             break
-        if len(cands) == 1:
-            t = cands[0]
-        else:
+        if cands & (cands - 1):
+            order = []
+            cum = []
             total = 0
-            for t in cands:
+            while cands:
+                low = cands & -cands
+                t = low.bit_length() - 1
                 total += pw[t]
-            r = rng.random() * total
-            acc = 0
-            t = cands[-1]
-            for cand in cands:
-                acc += pw[cand]
-                if r < acc:
-                    t = cand
-                    break
+                order.append(t)
+                cum.append(total)
+                cands ^= low
+            t = order[min(bisect_right(cum, rng.random() * total), len(order) - 1)]
+        else:
+            t = cands.bit_length() - 1
         load += times[t][w]
         chosen.append(t)
         bit = 1 << t
         avail ^= bit
         assigned |= bit
-        for u in inst.succ_lists[t]:
-            if not (assigned >> u) & 1 and pred_mask[u] & assigned == pred_mask[u]:
+        for u in succ_lists[t]:  # unassigned, as t was until now
+            if pred_mask[u] & assigned == pred_mask[u]:
                 avail |= 1 << u
     return assigned, avail, load, tuple(chosen)
 
@@ -167,22 +169,25 @@ def _to_solution(inst, stations, workers_mask):
     return Solution(order, assignment, cycle)
 
 
-def beam_search_feasible(inst, params):
+def beam_search_feasible(inst, params, *, deadline=None):
     """Probabilistic beam search for a full assignment with cycle time at
     most params.cycle_time. Returns the first complete solution, or FAILED
-    (None) once all stations have been processed."""
+    (None) once all stations have been processed or, checked before each
+    level, once the time.monotonic() deadline has passed."""
     rng = np.random.default_rng(params.seed)
     capacity = params.cycle_time
-    pw = [max_pw_priority(inst, t) for t in range(inst.n_tasks)]
+    tables = inst.beam_tables
     full = (1 << inst.n_tasks) - 1
     beam = [PartialAssignment(inst)]
     counter = 0
     for _level in range(inst.n_workers):
+        if deadline is not None and time.monotonic() >= deadline:
+            return FAILED
         heap = []  # (-rlb_sum, -insertion counter, node); root is the evictee
         for node in beam:
             for _rep in range(params.beam_factor):
                 for w in _iter_bits(node.workers_mask):
-                    assigned, avail, load, chosen = _fill_station(inst, node, w, capacity, rng, pw)
+                    assigned, avail, load, chosen = _fill_station(inst, node, w, capacity, rng, tables)
                     stations = node.stations + ((w, chosen, load),)
                     workers = node.workers_mask ^ (1 << w)
                     if assigned == full:
@@ -219,13 +224,16 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     max(lower bound, floor(interval_factor * incumbent)), keeping the best
     feasible result. Stops as soon as the incumbent matches the lower bound;
     otherwise runs until the sweep or time budget is exhausted, but never
-    shorter than t_min. The final solution is polished by local search.
+    shorter than t_min. Each sweep's beam call gives up at the t_max
+    deadline; the initial construction has none, so there is always a
+    solution. The final solution is polished by local search.
     A given `log` list receives one (cycle time, feasible, milliseconds)
     tuple per beam call.
     """
     if params is None:
         params = IpbsParams()
     t_start = time.monotonic()
+    deadline = t_start + params.t_max
     seeds = np.random.SeedSequence(params.seed)
 
     if lower_bound is None:
@@ -247,7 +255,7 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
                 continue
             t_c = time.monotonic()
             beam = BeamParams(cycle_time=c, gamma=params.gamma, beam_factor=params.beam_factor, seed=seeds.spawn(1)[0])
-            sol = beam_search_feasible(inst, beam)
+            sol = beam_search_feasible(inst, beam, deadline=deadline)
             if log is not None:
                 log.append((c, sol is not FAILED, int((time.monotonic() - t_c) * 1000)))
             if sol is not FAILED:
@@ -255,7 +263,7 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
                 c_up = sol.cycle_time
                 if c_up <= lower_bound:
                     break
-            if time.monotonic() - t_start >= params.t_max:
+            if time.monotonic() >= deadline:
                 break
     return local_search(inst, best)
 

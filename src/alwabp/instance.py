@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +160,11 @@ class Instance:
         self.times_array = np.array(self.times, dtype=np.float64)
         self.times_array.setflags(write=False)
 
+    @cached_property
+    def beam_tables(self):
+        """The beam search's lookup tables (see BeamTables), built on first use."""
+        return BeamTables(self)
+
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented
@@ -169,6 +175,56 @@ class Instance:
 
     def __repr__(self):
         return f"Instance(tasks={self.n_tasks}, workers={self.n_workers}, edges={len(self.edges)})"
+
+
+class BeamTables:
+    """Per-instance lookup tables of the beam search.
+
+    fit_times[w] holds worker w's finite task times in ascending order and
+    fit_masks[w][k] the bit mask of the tasks behind its first k entries, so
+    the tasks that take at most r on w are
+    fit_masks[w][bisect_right(fit_times[w], r)]. pw[t] is task t's minimum
+    positional weight: its own minimum time plus that of all successors.
+
+    row_minima memoises, per mask of remaining workers, each task's minimum
+    time over those workers. It holds at most one row of n ints per worker
+    mask asked for, so at most 2^m rows of n.
+    """
+
+    __slots__ = ("fit_times", "fit_masks", "pw", "_times", "_rows")
+
+    def __init__(self, inst):
+        self.fit_times = []
+        self.fit_masks = []
+        for w in range(inst.n_workers):
+            pairs = sorted((row[w], t) for t, row in enumerate(inst.times) if row[w] != INFEASIBLE)
+            masks = [0]
+            for _, t in pairs:
+                masks.append(masks[-1] | 1 << t)
+            self.fit_times.append(tuple(p for p, _ in pairs))
+            self.fit_masks.append(tuple(masks))
+        p = inst.min_times
+        self.pw = tuple(p[t] + sum(p[j] for j in inst.succs_star[t]) for t in range(inst.n_tasks))
+        self._times = inst.times
+        self._rows = {}
+
+    def row_minima(self, workers_mask):
+        """(row, dead): row[t] is task t's minimum time over the workers in
+        workers_mask, and dead the mask of tasks none of them can run (their
+        row entries are 0)."""
+        entry = self._rows.get(workers_mask)
+        if entry is None:
+            cols = [w for w in range(workers_mask.bit_length()) if (workers_mask >> w) & 1]
+            row = []
+            dead = 0
+            for t, times in enumerate(self._times):
+                best = min((times[w] for w in cols), default=INFEASIBLE)
+                if best == INFEASIBLE:
+                    dead |= 1 << t
+                    best = 0
+                row.append(best)
+            entry = self._rows[workers_mask] = (tuple(row), dead)
+        return entry
 
 
 class Solution:

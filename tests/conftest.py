@@ -92,6 +92,14 @@ def random_instance(seed, n_tasks=None, n_workers=None, variability=None, infeas
     return generate_instance(base, edges, n_workers, variability, infeasibility, seed)
 
 
+def scale_instance():
+    """The 70-task, 10-worker instance of acceptance criterion 9."""
+    rng = np.random.Generator(np.random.PCG64(2024))
+    base = [int(rng.integers(1, 100)) for _ in range(70)]
+    edges = {(i, j) for i in range(70) for j in range(i + 1, 70) if rng.random() < 0.04}
+    return generate_instance(base, edges, 10, "low", 0.1, seed=2024)
+
+
 def suite_params():
     """Factor grid of the 216-instance verification suite."""
     params = []

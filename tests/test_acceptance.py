@@ -11,7 +11,6 @@ import math
 import statistics
 import time
 
-import numpy as np
 import pytest
 
 from alwabp import (
@@ -23,7 +22,6 @@ from alwabp import (
     brute_force_optimal,
     check_solution_against_model,
     emit_model,
-    generate_instance,
     ipbs,
     tokenize_lp,
     validate_solution,
@@ -33,7 +31,7 @@ from alwabp.bnb import FEASIBLE_TIME_LIMIT, OPTIMAL
 from alwabp.bounds import ALL_BOUNDS
 from alwabp.cli import run as cli_run
 from alwabp import Solution
-from conftest import FIG1_TEXT, rcmax_optimal
+from conftest import FIG1_TEXT, rcmax_optimal, scale_instance
 
 
 def _report(criterion, passed, detail):
@@ -199,10 +197,7 @@ def test_criterion_8_report_determinism(tmp_path, small_suite):
 
 
 def test_criterion_9_scale_smoke_test():
-    rng = np.random.Generator(np.random.PCG64(2024))
-    base = [int(rng.integers(1, 100)) for _ in range(70)]
-    edges = {(i, j) for i in range(70) for j in range(i + 1, 70) if rng.random() < 0.04}
-    inst = generate_instance(base, edges, 10, "low", 0.1, seed=2024)
+    inst = scale_instance()
     order_strength = len(inst.closure) / (70 * 69 / 2)
 
     t0 = time.perf_counter()

@@ -1,7 +1,6 @@
 import math
 import time
 
-import numpy as np
 import pytest
 
 from alwabp import (
@@ -16,7 +15,6 @@ from alwabp import (
     branch_and_bound,
     brute_force_optimal,
     check_solution_against_model,
-    generate_instance,
     select_branch_task,
     set_assignment,
     unset_assignment,
@@ -24,7 +22,7 @@ from alwabp import (
 )
 from alwabp import bnb, bounds
 from alwabp.bnb import FEASIBLE_TIME_LIMIT, INFEASIBLE_STATUS, OPTIMAL, _node_bound
-from conftest import count_calls, random_instance
+from conftest import count_calls, random_instance, scale_instance
 
 
 class TestWorkerOrderGraph:
@@ -346,10 +344,7 @@ class TestBranchAndBound:
     def test_time_limit_holds_at_scale(self):
         # the 70x10 instance of acceptance criterion 9; the warm start's own
         # budget there is n * m / 10 = 70 s, so the deadline must cap it
-        rng = np.random.Generator(np.random.PCG64(2024))
-        base = [int(rng.integers(1, 100)) for _ in range(70)]
-        edges = {(i, j) for i in range(70) for j in range(i + 1, 70) if rng.random() < 0.04}
-        inst = generate_instance(base, edges, 10, "low", 0.1, seed=2024)
+        inst = scale_instance()
         t0 = time.monotonic()
         result = branch_and_bound(inst, BnbConfig(time_limit=1.0))
         assert time.monotonic() - t0 < 2.0

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import time
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from alwabp import (
     IpbsParams,
     InfeasibleInstanceError,
     SearchState,
+    all_bounds,
     apply_reduction_rules,
     beam_search_feasible,
     brute_force_optimal,
@@ -24,7 +27,7 @@ from alwabp import (
 )
 from alwabp import Solution
 from alwabp.heuristic import _iter_bits, _rlb_sum
-from conftest import random_instance
+from conftest import random_instance, scale_instance
 
 
 class TestMaxPw:
@@ -55,6 +58,58 @@ class TestMinRlb:
         # task 2 is only feasible for worker 0, which is consumed
         inst = Instance([[1, 1], [2, INFEASIBLE]], set())
         assert _rlb_sum(inst, 0b01, 0b10) is None
+
+
+def rlb_sum_reference(inst, assigned_mask, workers_mask):
+    # row minima of the instance matrix over the unassigned tasks and workers
+    rows = [t for t in range(inst.n_tasks) if not (assigned_mask >> t) & 1]
+    if not rows:
+        return 0
+    cols = [w for w in range(inst.n_workers) if (workers_mask >> w) & 1]
+    if not cols:
+        return None
+    mins = inst.times_array[np.ix_(rows, cols)].min(axis=1)
+    return None if np.isinf(mins).any() else int(mins.sum())
+
+
+class TestBeamTables:
+    """The per-instance tables of the beam search against full scans."""
+
+    def test_fit_masks_match_scan(self):
+        for seed in range(60):
+            inst = random_instance(seed) if seed < 40 else random_instance(seed, n_tasks=20, n_workers=5)
+            tables = inst.beam_tables
+            for w in range(inst.n_workers):
+                finite = [inst.times[t][w] for t in range(inst.n_tasks) if inst.times[t][w] != INFEASIBLE]
+                for r in range(max(finite, default=0) + 2):
+                    expected = sum(1 << t for t in range(inst.n_tasks) if inst.times[t][w] <= r)
+                    assert tables.fit_masks[w][bisect_right(tables.fit_times[w], r)] == expected, (seed, w, r)
+
+    def test_rlb_sum_matches_matrix_formula(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for seed in range(60):
+            inst = random_instance(seed, infeasibility=0.2) if seed % 2 else random_instance(seed)
+            full_tasks = (1 << inst.n_tasks) - 1
+            full_workers = (1 << inst.n_workers) - 1
+            states = [(0, 0), (full_tasks, 0), (full_tasks, full_workers), (0, full_workers)]
+            states += [
+                (int(rng.integers(0, full_tasks + 1)), int(rng.integers(0, full_workers + 1))) for _ in range(40)
+            ]
+            for assigned, workers in states:
+                expected = rlb_sum_reference(inst, assigned, workers)
+                assert _rlb_sum(inst, assigned, workers) == expected, (seed, assigned, workers)
+
+    def test_tables_not_shared(self):
+        a = Instance([[1, 2], [3, 4]], set())
+        b = Instance([[1, 2], [3, 4]], set())
+        c = Instance([[5, 2], [3, 9]], {(0, 1)})
+        assert a == b
+        assert a.beam_tables is a.beam_tables
+        assert len({id(a.beam_tables), id(b.beam_tables), id(c.beam_tables)}) == 3
+        assert _rlb_sum(a, 0, 0b01) == 4
+        assert _rlb_sum(c, 0, 0b01) == 8
+        assert a.beam_tables.pw == (1, 3)
+        assert c.beam_tables.pw == (5, 3)
 
 
 class TestStrengthen:
@@ -159,6 +214,36 @@ class TestBeamSearch:
         with pytest.raises(ValueError):
             BeamParams(cycle_time=0)
 
+    def test_deadline_checked_per_level(self):
+        # feasible at 100, but a full call there takes about a second
+        inst = scale_instance()
+        params = BeamParams(cycle_time=100, seed=3)
+        assert beam_search_feasible(inst, params, deadline=time.monotonic()) is FAILED
+        t0 = time.monotonic()
+        assert beam_search_feasible(inst, params, deadline=t0 + 0.2) is FAILED
+        assert time.monotonic() - t0 < 0.7
+
+    def test_results_pinned(self):
+        # sha256 of beam and interval-search results on 100 seeded 20x5
+        # instances, at the initial bound, 10 % below it and at the root
+        # bound (where every probe fails); any change to the order in which
+        # random numbers are drawn, or to how partials are ranked, shows here
+        def key(sol):
+            return None if sol is FAILED else (sol.worker_order, sol.assignment, sol.cycle_time)
+
+        digest = hashlib.sha256()
+        for seed in range(100):
+            inst = random_instance(seed, n_tasks=20, n_workers=5)
+            start = initial_upper_bound(inst)
+            root = all_bounds(inst).best
+            digest.update(repr(key(start)).encode())
+            for c in (start.cycle_time, math.floor(0.9 * start.cycle_time), root):
+                sol = beam_search_feasible(inst, BeamParams(cycle_time=c, gamma=20, beam_factor=2, seed=seed))
+                digest.update(repr(key(sol)).encode())
+            params = IpbsParams(gamma=10, beam_factor=1, repetitions=3, t_min=0, seed=seed)
+            digest.update(repr(key(ipbs(inst, params, lower_bound=root))).encode())
+        assert digest.hexdigest() == "9ac22f996d2270dcc20cc76f581704dd2f6b87c41da13fd3b650d6104e943a8a"
+
 
 class TestInitialUpperBound:
     def test_fig1_bracket(self, fig1):
@@ -194,6 +279,14 @@ class TestIpbs:
         ipbs(fig1, IpbsParams(seed=3), log=log)
         feasible = [c for c, ok, _ms in log if ok]
         assert feasible == sorted(feasible, reverse=True)
+
+    def test_t_max_holds_at_scale(self):
+        # each sweep call stops at the deadline, at most one level late
+        inst = scale_instance()
+        t0 = time.monotonic()
+        sol = ipbs(inst, IpbsParams(seed=42, t_min=0, t_max=0.3))
+        assert time.monotonic() - t0 < 0.3 + 0.5
+        assert validate_solution(inst, sol) == []
 
     def test_infeasible_instance_raises(self):
         # three chained tasks whose able workers force a station cycle
