@@ -31,13 +31,14 @@ sol = beam_search_feasible(inst, BeamParams(cycle_time=6, seed=1))
 print(f"probe at C=6: {sol}")
 print(f"probe at C=5: {beam_search_feasible(inst, BeamParams(cycle_time=5, seed=1))}")
 
-# the full interval search, logging every probe as a tuple
-# (candidate cycle time, True if the beam found a line within it, milliseconds)
+# the full interval search, logging every probe as a tuple (candidate cycle
+# time, True if the beam found a line within it, False if not, None if the
+# t_max deadline cut it short, milliseconds)
 log = []
 best = ipbs(inst, IpbsParams(seed=42), log=log)
 print("\nsweep log (candidate, outcome, milliseconds):")
 for c, feasible, ms in log:
-    print(f"  C {c} {'feasible' if feasible else 'failed'} {ms}")
+    print(f"  C {c} {'deadline' if feasible is None else 'feasible' if feasible else 'failed'} {ms}")
 print(f"\nfinal solution: {best}")
 print(f"stations: {[(s + 1, w + 1) for s, w in enumerate(best.worker_order)]}")
 print(f"assignment (task -> worker): {[(t + 1, w + 1) for t, w in enumerate(best.assignment)]}")

@@ -34,6 +34,10 @@ INFEASIBLE_STATUS = "infeasible"
 
 ORACLE_LEAF_LIMIT = 10**8
 
+# the warm start's beam: an incumbent fast, not the paper's wide search
+WARM_START_GAMMA = 10
+WARM_START_BEAM_FACTOR = 1
+
 
 class WorkerOrderGraph:
     """Directed graph over workers, kept transitively closed; an arc (v, w)
@@ -88,19 +92,6 @@ class SearchState:
         self.order_graph = WorkerOrderGraph(inst.n_workers)
         self.frames = []  # each: (primary task, arcs, cells, assigned tasks)
 
-    def push_frame(self, t):
-        self.frames.append((t, [], [], []))
-
-    def pop_frame(self, t):
-        primary, arcs, cells, assigns = self.frames.pop()
-        assert primary == t, "unbalanced set/unset of assignments"
-        self.order_graph.remove_arcs(reversed(arcs))
-        for task in reversed(assigns):
-            w = self.assignment.pop(task)
-            self.loads[w] -= self.inst.times[task][w]
-        for task, w, old in reversed(cells):
-            self.eff[task, w] = old
-
     def mark_infeasible(self, t, w):
         """Set a cell infeasible; returns False when task t loses its last
         worker (the node is then dead)."""
@@ -140,16 +131,27 @@ def assignment_is_valid(state, t, w):
 
 
 def set_assignment(state, t, w):
-    """Assign t to w inside a fresh undo frame: load, order-graph arcs and
-    the assignment itself are recorded for exact restoration."""
+    """Assign t to w inside a fresh undo frame and pin it there (rule R1):
+    its other cells become infeasible. Load, order-graph arcs, cells and the
+    assignment itself are recorded for exact restoration."""
     assert not math.isinf(state.eff[t, w]), "assignment to an infeasible cell"
-    state.push_frame(t)
+    state.frames.append((t, [], [], []))
+    for w2 in range(state.inst.n_workers):
+        if w2 != w:
+            state.mark_infeasible(t, w2)
     _assign(state, t, w)
 
 
 def unset_assignment(state, t, w):
-    assert state.assignment.get(t) == w
-    state.pop_frame(t)
+    """Revert every mutation recorded since the matching set_assignment."""
+    primary, arcs, cells, assigns = state.frames.pop()
+    assert primary == t and state.assignment.get(t) == w, "unbalanced set/unset of assignments"
+    state.order_graph.remove_arcs(reversed(arcs))
+    for task in reversed(assigns):
+        v = state.assignment.pop(task)
+        state.loads[v] -= state.inst.times[task][v]
+    for task, v, old in reversed(cells):
+        state.eff[task, v] = old
 
 
 def _assign(state, t, w):
@@ -172,17 +174,18 @@ def _assign(state, t, w):
 def apply_reduction_rules(state, t, w, gub):
     """Fixpoint of the three node reductions after assigning t to w.
 
-    R1 pins the task: all its other cells become infeasible. R2 enforces
-    continuity: a task between two tasks of one worker is assigned there too,
-    and everything beyond an infeasible intermediate is excluded on that
-    worker. R3 excludes a candidate cell when the chain through it would
-    already reach the incumbent. Returns True when the node is DEAD. R3 is
-    evaluated once per (newly) assigned task against the then-current matrix.
+    R1 pins the task: all its other cells become infeasible (for t,
+    set_assignment has done so, and its marks seed the propagation). R2
+    enforces continuity: a task between two tasks of one worker is assigned
+    there too, and everything beyond an infeasible intermediate is excluded
+    on that worker. R3 excludes a candidate cell whose chain would already
+    reach the incumbent, once per (newly) assigned task against the
+    then-current matrix. Returns True when the node is DEAD.
     """
     inst = state.inst
     m = inst.n_workers
     pending_assign = [t]
-    pending_marks = []
+    pending_marks = [(task, worker) for task, worker, _ in state.frames[-1][2]]
 
     def mark(task, worker):
         if state.assignment.get(task) == worker:
@@ -302,10 +305,10 @@ def select_branch_task(state, gub):
     return best[1], best[2]
 
 
-def _node_bound(state, gub, config):
-    """Bound the completions of the current node on the reduced matrix:
-    loads, LC1, LC2 and LC3 on the minimum times, then L1a_bar from a single
-    ascent, returning as soon as a stage reaches the incumbent."""
+def _node_bound(state, gub):
+    """Bound the completions of the current node on the reduced matrix: the
+    loads, then LC1, LC2 and LC3 on the minimum times, returning once a stage
+    reaches the incumbent. A node ascent would cost more than it prunes."""
     inst = state.inst
     m = inst.n_workers
     p_min = state.eff.min(axis=1)
@@ -317,12 +320,7 @@ def _node_bound(state, gub, config):
     value = max(value, lb._lc2(sorted(p_int, reverse=True), m))
     if value >= gub:
         return value
-    value = max(value, lb._lc3(inst, p_int))
-    if value >= gub:
-        return value
-    cap = None if math.isinf(gub) else int(gub)
-    *_, l1a_bar = lb._l1_chain(state.eff, config.l1_iters, cap)
-    return max(value, l1a_bar)
+    return max(value, lb._lc3(inst, p_int))
 
 
 @dataclass
@@ -389,15 +387,16 @@ class _Search:
             if self.config.reduction_rules:
                 dead = apply_reduction_rules(state, t, w, self.gub)
             if not dead:
-                new_llb = max(llb, _node_bound(state, self.gub, self.config))
+                new_llb = max(llb, _node_bound(state, self.gub))
                 if new_llb < self.gub:
                     self.visit(new_llb)
             unset_assignment(state, t, w)
 
 
 def branch_and_bound(inst, config=None):
-    """Solve to optimality (or the time limit): heuristic incumbent, root
-    bounds, then depth-first task-oriented search."""
+    """Solve to optimality (or the time limit): root bounds, the only
+    Lagrangian ascent; a narrow-beam ipbs incumbent; then depth-first
+    task-oriented search with the cheap bounds of _node_bound."""
     if config is None:
         config = BnbConfig()
     t0 = time.monotonic()
@@ -410,7 +409,7 @@ def branch_and_bound(inst, config=None):
         t_max = max(0.5, inst.n_tasks * inst.n_workers / 10)
         if deadline is not None:
             t_max = min(t_max, max(0.0, deadline - time.monotonic()))
-        params = IpbsParams(t_min=0.0, t_max=t_max, seed=config.seed)
+        params = IpbsParams(WARM_START_GAMMA, WARM_START_BEAM_FACTOR, t_min=0.0, t_max=t_max, seed=config.seed)
         try:
             heur = ipbs(inst, params, lower_bound=root_lb)
         except InfeasibleInstanceError:

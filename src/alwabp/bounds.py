@@ -163,7 +163,7 @@ def _l1_ascent(times, max_iters):
     return best_val, best_lam
 
 
-def _l1_chain(times, max_iters, cap=None):
+def _l1_chain(times, max_iters):
     """Yield L1, L1a and L1a_bar of one matrix in turn, all from a single
     ascent. Each value is computed only when it is requested, so taking
     just L1 runs no knapsack."""
@@ -171,7 +171,7 @@ def _l1_chain(times, max_iters, cap=None):
     p_min_max = int(times.min(axis=1).max())
     l1 = max(math.ceil(best_val - 1e-9), p_min_max)
     yield l1
-    l1a = _l1_additive(times, l1, lam, cap)
+    l1a = _l1_additive(times, l1, lam)
     yield l1a
     yield _disjunction_value(times, l1a)
 
@@ -194,7 +194,7 @@ def _knapsack(weights, profits, capacity):
     return best, took
 
 
-def _l1_additive(times, l1, lam, cap=None):
+def _l1_additive(times, l1, lam):
     """Additive improvement of the cycle-constraint dual.
 
     With multipliers lam, any schedule of makespan c satisfies
@@ -229,8 +229,6 @@ def _l1_additive(times, l1, lam, cap=None):
 
     hi = sum(forced_sum) + sum(p for items in movable for p, _ in items)
     hi = max(hi, 1)
-    if cap is not None:
-        hi = min(hi, cap)
     lo = max(l1, 1)
     if lo > hi:
         return l1

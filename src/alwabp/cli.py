@@ -216,7 +216,7 @@ def _run_solve(args, path, out):
 
 def _sweep_line(entry, no_timings):
     c, feasible, ms = entry
-    line = f"C {c} {'feasible' if feasible else 'failed'}"
+    line = f"C {c} {'deadline' if feasible is None else 'feasible' if feasible else 'failed'}"
     return line if no_timings else f"{line} {ms}"
 
 

@@ -228,7 +228,8 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     deadline; the initial construction has none, so there is always a
     solution. The final solution is polished by local search.
     A given `log` list receives one (cycle time, feasible, milliseconds)
-    tuple per beam call.
+    tuple per beam call; feasible is None for a call that came back empty
+    after the t_max deadline had passed, which may have cut it short.
     """
     if params is None:
         params = IpbsParams()
@@ -257,7 +258,9 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
             beam = BeamParams(cycle_time=c, gamma=params.gamma, beam_factor=params.beam_factor, seed=seeds.spawn(1)[0])
             sol = beam_search_feasible(inst, beam, deadline=deadline)
             if log is not None:
-                log.append((c, sol is not FAILED, int((time.monotonic() - t_c) * 1000)))
+                t_end = time.monotonic()
+                feasible = None if sol is FAILED and t_end >= deadline else sol is not FAILED
+                log.append((c, feasible, int((t_end - t_c) * 1000)))
             if sol is not FAILED:
                 best = sol
                 c_up = sol.cycle_time

@@ -19,8 +19,9 @@ from alwabp import (
     set_assignment,
     unset_assignment,
     validate_solution,
+    write_instance,
 )
-from alwabp import bnb, bounds
+from alwabp import bnb, bounds, cli, heuristic
 from alwabp.bnb import FEASIBLE_TIME_LIMIT, INFEASIBLE_STATUS, OPTIMAL, _node_bound
 from conftest import count_calls, random_instance, scale_instance
 
@@ -78,6 +79,29 @@ class TestSetUnset:
         assert state.fingerprint() != before
         unset_assignment(state, 0, 2)
         assert state.fingerprint() == before
+
+    def test_assignment_pins_its_row(self, fig1):
+        # R1 without the reduction rules: t2 on w2 leaves t2 no other cell
+        state = SearchState(fig1)
+        before = state.fingerprint()
+        set_assignment(state, 1, 1)
+        assert math.isinf(state.eff[1, 0]) and math.isinf(state.eff[1, 2])
+        assert state.eff[1, 1] == 5
+        assert state.eff.min(axis=1)[1] == 5
+        unset_assignment(state, 1, 1)
+        assert state.fingerprint() == before
+        assert list(state.eff[1]) == [4, 5, 4]
+
+    def test_rules_propagate_the_pin(self):
+        # t1 on w1 after t0 on w0: the pin's mark (t1, w0) must reach the
+        # continuity rule, which then cuts t2, a successor of t1, from w0
+        inst = Instance([[1, 1], [1, 1], [1, 1]], {(0, 1), (1, 2)})
+        state = SearchState(inst)
+        set_assignment(state, 0, 0)
+        assert not apply_reduction_rules(state, 0, 0, gub=math.inf)
+        set_assignment(state, 1, 1)
+        assert not apply_reduction_rules(state, 1, 1, gub=math.inf)
+        assert math.isinf(state.eff[2, 0])
 
     def test_direct_edge_creates_arc(self, fig1):
         state = SearchState(fig1)
@@ -246,33 +270,45 @@ class TestBranchSelection:
 
 
 class TestNodeBound:
-    def test_one_ascent_at_the_l1_stage(self, monkeypatch):
-        # with no incumbent every node bound reaches the L1 stage
+    def test_no_ascent_at_a_node(self, monkeypatch):
+        # with no incumbent every stage of the node bound runs
         ascents = count_calls(monkeypatch, bounds, "_l1_ascent")
         for seed in range(20):
             inst = random_instance(seed)
             state = SearchState(inst)
             w = next(w for w in range(inst.n_workers) if not math.isinf(state.eff[0, w]))
             set_assignment(state, 0, w)
-            ascents.clear()
-            _node_bound(state, math.inf, BnbConfig())
-            assert len(ascents) == 1
+            assert _node_bound(state, math.inf) >= state.loads[w]
+        assert ascents == []
 
-    def test_at_most_one_ascent_per_node_in_search(self, monkeypatch):
+    def test_one_ascent_per_solve_at_the_root(self, monkeypatch):
         ascents = count_calls(monkeypatch, bounds, "_l1_ascent")
-        per_call = []
-
-        def counted_node_bound(state, gub, config):
-            before = len(ascents)
-            value = _node_bound(state, gub, config)
-            per_call.append(len(ascents) - before)
-            return value
-
-        monkeypatch.setattr(bnb, "_node_bound", counted_node_bound)
+        nodes = count_calls(monkeypatch, bnb, "_node_bound")
         for seed in range(3):
-            branch_and_bound(random_instance(seed, n_tasks=12, n_workers=3), BnbConfig(heuristic_on=False))
-        assert per_call and set(per_call) <= {0, 1}
-        assert 1 in per_call
+            ascents.clear()
+            branch_and_bound(random_instance(seed, n_tasks=12, n_workers=3))
+            assert len(ascents) == 1
+        assert nodes
+
+    def test_warm_start_beam_is_narrow(self, monkeypatch, tmp_path):
+        widths = []
+        beam = heuristic.beam_search_feasible
+
+        def recorded(inst, params, **kwargs):
+            widths.append((params.gamma, params.beam_factor))
+            return beam(inst, params, **kwargs)
+
+        monkeypatch.setattr(heuristic, "beam_search_feasible", recorded)
+        inst = random_instance(5, n_tasks=12, n_workers=3)
+        branch_and_bound(inst)
+        # the initial construction runs at beam factor one with the same width
+        assert widths and set(widths) == {(bnb.WARM_START_GAMMA, bnb.WARM_START_BEAM_FACTOR)} == {(10, 1)}
+        widths.clear()
+        path = tmp_path / "inst.alwabp"
+        path.write_text(write_instance(inst))
+        cli.run(["heur", str(path), "--t-min", "0", "--repetitions", "1"])
+        assert set(widths[1:]) == {(125, 5)}
+        assert widths[0] == (125, 1)
 
 
 class TestBranchAndBound:

@@ -1,7 +1,10 @@
 import json
+import os
+import time
 
 import pytest
 
+from alwabp import generate_instance, heuristic, write_instance
 from alwabp.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main, run
 from conftest import FIG1_TEXT, SINGLE_TEXT
 
@@ -78,6 +81,51 @@ class TestHeur:
         timed_lines = [l for l in timed.splitlines() if l.startswith("C ")]
         assert [l.rsplit(" ", 1)[0] for l in timed_lines] == sweep_lines
         assert all(l.split()[3].isdigit() for l in timed_lines)
+
+
+    def test_deadline_sweep_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "40x6.alwabp"
+        edges = {(t, t + 1) for t in range(0, 39, 3)}
+        inst = generate_instance([1 + t % 9 for t in range(40)], edges, 6, "low", 0.1, 4)
+        path.write_text(write_instance(inst))
+        beam = heuristic.beam_search_feasible
+
+        def slow(inst, params, *, deadline=None):
+            if deadline is not None:  # the deadline passes during the call
+                time.sleep(max(0.0, deadline - time.monotonic()))
+            return beam(inst, params, deadline=deadline)
+
+        monkeypatch.setattr(heuristic, "beam_search_feasible", slow)
+        code, text = run(["heur", str(path), "--verbose", "--no-timings", "--t-min", "0", "--t-max", ".5"])
+        assert code == EXIT_OK
+        sweep_lines = [l for l in text.splitlines() if l.startswith("C ")]
+        assert len(sweep_lines) == 1 and sweep_lines[0].endswith(" deadline")
+
+
+GOLDEN_SOLVES = [
+    "demos/fig_example.alwabp",
+    "tests/golden/solve_12x3_1201.alwabp",
+    "tests/golden/solve_12x3_1203.alwabp",
+    "tests/golden/solve_12x3_1204.alwabp",
+]
+
+
+class TestGoldenSolve:
+    """Committed `solve --seed 42 --no-timings --json` reports, made from the
+    repository root with `alwabp solve PATH --seed 42 --no-timings --json`
+    into tests/golden/<name>.solve.json. A change to node counts, bounds or
+    the solution found shows up here as a diff to explain."""
+
+    @pytest.mark.parametrize("path", GOLDEN_SOLVES)
+    def test_report_matches_golden(self, path, monkeypatch):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.chdir(root)
+        name = os.path.basename(path).rsplit(".", 1)[0]
+        with open(os.path.join("tests", "golden", f"{name}.solve.json"), encoding="ascii") as fh:
+            golden = fh.read()
+        code, text = run(["solve", path, "--seed", "42", "--no-timings", "--json"])
+        assert code == EXIT_OK
+        assert text == golden
 
 
 class TestBounds:

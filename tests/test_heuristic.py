@@ -25,7 +25,7 @@ from alwabp import (
     set_assignment,
     validate_solution,
 )
-from alwabp import Solution
+from alwabp import Solution, heuristic
 from alwabp.heuristic import _iter_bits, _rlb_sum
 from conftest import random_instance, scale_instance
 
@@ -286,6 +286,27 @@ class TestIpbs:
         t0 = time.monotonic()
         sol = ipbs(inst, IpbsParams(seed=42, t_min=0, t_max=0.3))
         assert time.monotonic() - t0 < 0.3 + 0.5
+        assert validate_solution(inst, sol) == []
+
+    def test_deadline_cut_is_logged_apart(self, monkeypatch):
+        # the first sweep call runs into the deadline and is cut at its
+        # first level; a call that ends on its own still logs a bool
+        inst = random_instance(4, n_tasks=40, n_workers=6)
+        log = []
+        ipbs(inst, IpbsParams(gamma=10, beam_factor=1, t_min=0, repetitions=3, seed=1), log=log)
+        assert log and all(ok in (True, False) for _c, ok, _ms in log)
+
+        beam = heuristic.beam_search_feasible
+
+        def slow(inst, params, *, deadline=None):
+            if deadline is not None:
+                time.sleep(max(0.0, deadline - time.monotonic()))
+            return beam(inst, params, deadline=deadline)
+
+        monkeypatch.setattr(heuristic, "beam_search_feasible", slow)
+        log = []
+        sol = ipbs(inst, IpbsParams(t_min=0, t_max=0.5, seed=1), log=log)
+        assert len(log) == 1 and log[0][1] is None
         assert validate_solution(inst, sol) == []
 
     def test_infeasible_instance_raises(self):
