@@ -29,6 +29,8 @@ DEFAULT_T_MIN = 6.0
 DEFAULT_T_MAX = 900.0
 DEFAULT_REPETITIONS = 20
 
+_UNIFORM_BLOCK = 256  # rng.random() values drawn at once by a beam call
+
 
 @dataclass(frozen=True)
 class BeamParams:
@@ -113,15 +115,56 @@ def _rlb_sum(inst, assigned_mask, workers_mask):
     return total
 
 
-def _fill_station(inst, node, w, capacity, rng, tables):
+def _draw(cands, u, pw, pw_chunks):
+    """The task drawn from candidate mask cands (two or more tasks) for the
+    uniform u in [0, 1): walking the candidates in ascending order, the first
+    whose cumulative weight exceeds u times the total, or the last candidate
+    when none does. Whole bytes of cands are summed and skipped by one
+    pw_chunks lookup each; only the byte that holds the pick is walked bit
+    by bit. Sums are Python ints, so the comparisons are exact."""
+    total = 0
+    k = 0
+    rest = cands
+    while rest:
+        total += pw_chunks[k][rest & 255]
+        rest >>= 8
+        k += 1
+    x = u * total
+    acc = 0
+    k = 0
+    rest = cands
+    while rest:
+        byte = rest & 255
+        s = pw_chunks[k][byte]
+        if acc + s > x:  # the pick is in this byte
+            base = k << 3
+            while True:
+                low = byte & -byte
+                t = base + low.bit_length() - 1
+                acc += pw[t]
+                if acc > x:
+                    return t
+                byte ^= low
+        acc += s
+        rest >>= 8
+        k += 1
+    return cands.bit_length() - 1
+
+
+def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
     """Greedy probabilistic fill of one station for worker w; tasks are drawn
     with probability proportional to their positional weight until nothing
     available fits the residual capacity. A draw walks the candidates in
     ascending task order and takes the first whose cumulative weight exceeds
-    rng.random() times the total; a lone candidate is taken without a draw."""
+    u times the total, the pick of bisect_right over the cumulative weights
+    (_draw finds it by byte-chunk lookups); a lone candidate is taken
+    without a draw. u is the next rng.random() value: uniforms holds a block
+    of them, drawn _UNIFORM_BLOCK at a time and popped from the end, so the
+    values are those of one scalar call per draw."""
     fit_times = tables.fit_times[w]
     fit_masks = tables.fit_masks[w]
     pw = tables.pw
+    pw_chunks = tables.pw_chunks
     times = inst.times
     pred_mask = inst.pred_mask
     succ_lists = inst.succ_lists
@@ -134,17 +177,9 @@ def _fill_station(inst, node, w, capacity, rng, tables):
         if not cands:
             break
         if cands & (cands - 1):
-            order = []
-            cum = []
-            total = 0
-            while cands:
-                low = cands & -cands
-                t = low.bit_length() - 1
-                total += pw[t]
-                order.append(t)
-                cum.append(total)
-                cands ^= low
-            t = order[min(bisect_right(cum, rng.random() * total), len(order) - 1)]
+            if not uniforms:
+                uniforms.extend(rng.random(_UNIFORM_BLOCK)[::-1].tolist())
+            t = _draw(cands, uniforms.pop(), pw, pw_chunks)
         else:
             t = cands.bit_length() - 1
         load += times[t][w]
@@ -175,6 +210,7 @@ def beam_search_feasible(inst, params, *, deadline=None):
     (None) once all stations have been processed or, checked before each
     level, once the time.monotonic() deadline has passed."""
     rng = np.random.default_rng(params.seed)
+    uniforms = []
     capacity = params.cycle_time
     tables = inst.beam_tables
     full = (1 << inst.n_tasks) - 1
@@ -187,21 +223,21 @@ def beam_search_feasible(inst, params, *, deadline=None):
         for node in beam:
             for _rep in range(params.beam_factor):
                 for w in _iter_bits(node.workers_mask):
-                    assigned, avail, load, chosen = _fill_station(inst, node, w, capacity, rng, tables)
-                    stations = node.stations + ((w, chosen, load),)
+                    assigned, avail, load, chosen = _fill_station(inst, node, w, capacity, rng, uniforms, tables)
                     workers = node.workers_mask ^ (1 << w)
                     if assigned == full:
-                        return _to_solution(inst, stations, workers)
+                        return _to_solution(inst, node.stations + ((w, chosen, load),), workers)
                     score = _rlb_sum(inst, assigned, workers)
                     if score is None:
                         continue
-                    child = PartialAssignment(inst, stations, assigned, avail, workers)
-                    counter += 1
-                    entry = (-score, -counter, child)
+                    counter += 1  # every scored child, so ties keep their order
+                    if len(heap) == params.gamma and -score <= heap[0][0]:
+                        continue  # rejected before its partial is built
+                    child = PartialAssignment(inst, node.stations + ((w, chosen, load),), assigned, avail, workers)
                     if len(heap) < params.gamma:
-                        heapq.heappush(heap, entry)
-                    elif -score > heap[0][0]:
-                        heapq.heapreplace(heap, entry)
+                        heapq.heappush(heap, (-score, -counter, child))
+                    else:
+                        heapq.heapreplace(heap, (-score, -counter, child))
         if not heap:
             return FAILED
         beam = [item[2] for item in sorted(heap, key=lambda item: -item[1])]

@@ -177,6 +177,17 @@ class Instance:
         return f"Instance(tasks={self.n_tasks}, workers={self.n_workers}, edges={len(self.edges)})"
 
 
+def _byte_sums(weights):
+    """sums[b]: the total of weights[i] over the set bits i of byte b, for a
+    tuple of at most 8 weights (bits past its end weigh 0)."""
+    weights += (0,) * (8 - len(weights))
+    sums = [0]
+    for b in range(1, 256):
+        low = b & -b
+        sums.append(sums[b ^ low] + weights[low.bit_length() - 1])
+    return tuple(sums)
+
+
 class BeamTables:
     """Per-instance lookup tables of the beam search.
 
@@ -185,13 +196,16 @@ class BeamTables:
     the tasks that take at most r on w are
     fit_masks[w][bisect_right(fit_times[w], r)]. pw[t] is task t's minimum
     positional weight: its own minimum time plus that of all successors.
+    pw_chunks[k][b] is the pw sum of the tasks 8k + i for the set bits i of
+    byte b, so the weight of a task mask is the sum of one lookup per byte;
+    it holds 256 ints per 8 tasks, 256 * ceil(n / 8) in all.
 
     row_minima memoises, per mask of remaining workers, each task's minimum
     time over those workers. It holds at most one row of n ints per worker
     mask asked for, so at most 2^m rows of n.
     """
 
-    __slots__ = ("fit_times", "fit_masks", "pw", "_times", "_rows")
+    __slots__ = ("fit_times", "fit_masks", "pw", "pw_chunks", "_times", "_rows")
 
     def __init__(self, inst):
         self.fit_times = []
@@ -205,6 +219,7 @@ class BeamTables:
             self.fit_masks.append(tuple(masks))
         p = inst.min_times
         self.pw = tuple(p[t] + sum(p[j] for j in inst.succs_star[t]) for t in range(inst.n_tasks))
+        self.pw_chunks = tuple(_byte_sums(self.pw[k : k + 8]) for k in range(0, inst.n_tasks, 8))
         self._times = inst.times
         self._rows = {}
 
@@ -234,9 +249,6 @@ class Solution:
         self.worker_order = tuple(worker_order)
         self.assignment = tuple(assignment)
         self.cycle_time = cycle_time
-
-    def station_of_worker(self, w):
-        return self.worker_order.index(w)
 
     def loads(self, inst):
         loads = [0] * inst.n_workers

@@ -110,6 +110,17 @@ GOLDEN_SOLVES = [
 ]
 
 
+def assert_matches_golden(path, argv, kind, monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.chdir(root)
+    name = os.path.basename(path).rsplit(".", 1)[0]
+    with open(os.path.join("tests", "golden", f"{name}.{kind}.json"), encoding="ascii") as fh:
+        golden = fh.read()
+    code, text = run([kind, path, *argv, "--no-timings", "--json"])
+    assert code == EXIT_OK
+    assert text == golden
+
+
 class TestGoldenSolve:
     """Committed `solve --seed 42 --no-timings --json` reports, made from the
     repository root with `alwabp solve PATH --seed 42 --no-timings --json`
@@ -118,14 +129,30 @@ class TestGoldenSolve:
 
     @pytest.mark.parametrize("path", GOLDEN_SOLVES)
     def test_report_matches_golden(self, path, monkeypatch):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        monkeypatch.chdir(root)
-        name = os.path.basename(path).rsplit(".", 1)[0]
-        with open(os.path.join("tests", "golden", f"{name}.solve.json"), encoding="ascii") as fh:
-            golden = fh.read()
-        code, text = run(["solve", path, "--seed", "42", "--no-timings", "--json"])
-        assert code == EXIT_OK
-        assert text == golden
+        assert_matches_golden(path, ["--seed", "42"], "solve", monkeypatch)
+
+
+GOLDEN_HEURS = [
+    "demos/fig_example.alwabp",
+    "tests/golden/heur_30x5_3005.alwabp",
+    "tests/golden/heur_40x6_4006.alwabp",
+]
+HEUR_WORKLOAD_FLAGS = ["--t-min", "0", "--t-max", "1e9", "--repetitions", "20", "--gamma", "10", "--beam-factor", "1"]
+
+
+class TestGoldenHeur:
+    """Committed `heur --seed 42 --no-timings --json` reports with the flags
+    of the benchmark's heur workload, made from the repository root with
+    `alwabp heur PATH --seed 42 <HEUR_WORKLOAD_FLAGS> --no-timings --json`
+    into tests/golden/<name>.heur.json. The two generated instances are
+    seeded like acceptance criterion 9 (base times 1-99, arc density 0.04):
+    30x5 low variability, 10 % infeasible, seed 3005, and 40x6 high, 20 %,
+    seed 4006. Any change to the random draws of the beam search, to how
+    partials are ranked or to the interval or local search shows here."""
+
+    @pytest.mark.parametrize("path", GOLDEN_HEURS)
+    def test_report_matches_golden(self, path, monkeypatch):
+        assert_matches_golden(path, ["--seed", "42", *HEUR_WORKLOAD_FLAGS], "heur", monkeypatch)
 
 
 class TestBounds:

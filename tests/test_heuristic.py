@@ -26,7 +26,7 @@ from alwabp import (
     validate_solution,
 )
 from alwabp import Solution, heuristic
-from alwabp.heuristic import _iter_bits, _rlb_sum
+from alwabp.heuristic import _UNIFORM_BLOCK, _draw, _fill_station, _iter_bits, _rlb_sum
 from conftest import random_instance, scale_instance
 
 
@@ -110,6 +110,97 @@ class TestBeamTables:
         assert _rlb_sum(c, 0, 0b01) == 8
         assert a.beam_tables.pw == (1, 3)
         assert c.beam_tables.pw == (5, 3)
+
+
+def draw_reference(cands, u, pw):
+    # the cumulative-list draw that _draw replaced
+    order = list(_iter_bits(cands))
+    cum = []
+    total = 0
+    for t in order:
+        total += pw[t]
+        cum.append(total)
+    return order[min(bisect_right(cum, u * total), len(order) - 1)]
+
+
+def weighted_instance(seed, n):
+    # n tasks on two workers with times 1..99 and sparse forward arcs, so
+    # positional weights are spread and a few run to the thousands
+    rng = np.random.Generator(np.random.PCG64(seed))
+    times = [[int(rng.integers(1, 100)) for _ in range(2)] for _ in range(n)]
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.05}
+    return Instance(times, edges)
+
+
+class TestDrawKernel:
+    """_draw, with byte-chunk lookups, against the cumulative-list draw."""
+
+    SIZES = (7, 8, 9, 16, 17, 40, 70)
+
+    def test_chunk_sums_match_scan(self):
+        for n in self.SIZES:
+            tables = weighted_instance(n, n).beam_tables
+            assert len(tables.pw_chunks) == -(-n // 8)
+            for k, sums in enumerate(tables.pw_chunks):
+                assert len(sums) == 256
+                for b in range(256):
+                    expected = sum(tables.pw[8 * k + i] for i in range(8) if (b >> i) & 1 and 8 * k + i < n)
+                    assert sums[b] == expected, (n, k, b)
+
+    def test_matches_reference_on_random_masks(self):
+        rng = np.random.Generator(np.random.PCG64(17))
+        for n in self.SIZES:
+            tables = weighted_instance(n, n).beam_tables
+            for _ in range(400):
+                cands = 0
+                while cands & (cands - 1) == 0:  # two or more candidates
+                    density = rng.random()
+                    cands = sum(1 << t for t in range(n) if rng.random() < density)
+                for u in (0.0, 1 - 2**-53, float(rng.random()), float(rng.random())):
+                    expected = draw_reference(cands, u, tables.pw)
+                    assert _draw(cands, u, tables.pw, tables.pw_chunks) == expected, (n, cands, u)
+
+    def test_edges_of_the_unit_interval(self):
+        for n in self.SIZES:
+            tables = weighted_instance(n, n).beam_tables
+            full = (1 << n) - 1
+            for cands in (full, 0b11, full ^ 1, 1 | 1 << (n - 1)):
+                lowest = (cands & -cands).bit_length() - 1
+                highest = cands.bit_length() - 1
+                assert _draw(cands, 0.0, tables.pw, tables.pw_chunks) == lowest
+                # u * total stays below total for any positive int total, so
+                # the walk ends on the last candidate; u = 1.0 reaches the
+                # fallback, which must pick the same one
+                assert _draw(cands, 1 - 2**-53, tables.pw, tables.pw_chunks) == highest
+                assert _draw(cands, 1.0, tables.pw, tables.pw_chunks) == highest
+
+    def test_lone_candidate_draws_no_number(self):
+        class NoDraws:
+            def random(self, *args):
+                raise AssertionError("a lone candidate consumed a random number")
+
+        # a chain: exactly one task is available at every step
+        n = 12
+        inst = Instance([[3, 5] for _ in range(n)], {(t, t + 1) for t in range(n - 1)})
+        node = heuristic.PartialAssignment(inst)
+        uniforms = []
+        assigned, _, load, chosen = _fill_station(inst, node, 0, 20, NoDraws(), uniforms, inst.beam_tables)
+        assert chosen == (0, 1, 2, 3, 4, 5) and load == 18 and assigned == 0b111111
+        assert uniforms == []
+
+    def test_buffered_uniforms_equal_scalar_calls(self, monkeypatch):
+        drawn = []
+
+        def recording_draw(cands, u, pw, pw_chunks):
+            drawn.append(u)
+            return _draw(cands, u, pw, pw_chunks)
+
+        monkeypatch.setattr(heuristic, "_draw", recording_draw)
+        inst = scale_instance()
+        beam_search_feasible(inst, BeamParams(cycle_time=100, gamma=10, beam_factor=1, seed=8))
+        assert len(drawn) >= 600 > 2 * _UNIFORM_BLOCK
+        scalar = np.random.default_rng(8)
+        assert drawn == [scalar.random() for _ in drawn]
 
 
 class TestStrengthen:
