@@ -176,22 +176,60 @@ def _l1_chain(times, max_iters):
     yield _disjunction_value(times, l1a)
 
 
-def _knapsack(weights, profits, capacity):
-    """0/1 knapsack for every capacity 0..capacity (1-D DP over the items).
+@dataclass(frozen=True)
+class _KnapsackPlan:
+    """Index plan of `_knapsack`, built once per weight matrix.
 
-    Returns the best profit per capacity and a bool table whose cell [k, c]
-    says that taking item k strictly improved capacity c. On a tie the item
-    is not taken, so tracing back from the last item yields, among the best
-    subsets, the one that prefers lower-index items.
+    Step k offers, on every row r whose weight weights[k, r] is at most the
+    capacity, one item of that weight; other cells are absent. Column j of
+    the kernel's table is capacity j - pad, and the pad columns hold -inf.
     """
-    best = np.zeros(capacity + 1)
-    took = np.zeros((len(weights), capacity + 1), dtype=bool)
-    for k, (w, p) in enumerate(zip(weights, profits)):
-        if w <= capacity and p > 0:
-            taken = best[:-w] + p
-            np.greater(taken, best[w:], out=took[k, w:])
-            np.maximum(best[w:], taken, out=best[w:])
-    return best, took
+
+    width: int  # capacities 0..width-1
+    pad: int  # the largest weight of a present cell
+    present: np.ndarray  # (steps, rows) bool
+    starts: np.ndarray  # (steps, rows) first table column of a cell's source
+
+
+def _knapsack_plan(weights, capacity):
+    present = weights <= capacity
+    w = np.where(present, weights, 0).astype(np.int32)
+    pad = int(w.max(initial=0))
+    return _KnapsackPlan(capacity + 1, pad, present, pad - w)
+
+
+def _knapsack(plan, profits, took=None):
+    """0/1 knapsack for every capacity 0..width-1 on all rows at once.
+
+    Rows are independent knapsacks; each row takes its items in step order,
+    and one step updates every row with one gather, add, compare and max
+    over an array of shape (rows, width). An absent cell gets profit -inf,
+    and a present one reads -inf from the pad at capacities below its
+    weight, so neither changes the row there, and every other cell is
+    computed by the same float operations as a 1-D DP over that row's items
+    alone. The cost is O(steps * rows * width) cell updates.
+
+    `profits` broadcasts to (steps, rows). Returns the (rows, width) table of
+    best profits. If `took` is given, an array of shape (steps, rows, width),
+    its cell [k, r, c] is set to whether taking row r's item of step k
+    strictly improved capacity c. On a tie the item is not taken, so tracing
+    back from the last step yields, among the best subsets of a row, the one
+    that prefers items of lower steps.
+    """
+    rows = plan.present.shape[1]
+    gains = np.where(plan.present, profits, -np.inf)[:, :, None]
+    table = np.zeros((rows, plan.pad + plan.width))
+    table[:, : plan.pad] = -np.inf
+    best = table[:, plan.pad :]
+    sources = np.lib.stride_tricks.sliding_window_view(table, plan.width, axis=1)
+    row_ids = np.arange(rows)
+    for k, (starts, gain) in enumerate(zip(plan.starts, gains)):
+        taken = sources[row_ids, starts]
+        taken += gain
+        if took is not None:
+            np.greater(taken, best, out=took[k])
+        np.maximum(best, taken, out=best)
+    return best
 
 
 def _l1_additive(times, l1, lam):
@@ -201,9 +239,10 @@ def _l1_additive(times, l1, lam):
     c >= phi(lam) + (total reassignment cost it pays), where a task moved off
     its cheapest machine pays at least the gap to its second-cheapest one.
     Tasks cheapest on machine w that stay on w must fit into capacity c, so
-    the minimum cost is bounded through one all-capacities knapsack per
-    machine, reused for every trial c of a binary search for the smallest c
-    not proven impossible.
+    the minimum cost is bounded through an all-capacities knapsack per
+    machine (one `_knapsack` call over all machines, each movable task an
+    item on its cheapest machine only), reused for every trial c of a binary
+    search for the smallest c not proven impossible.
     """
     n_tasks, m = times.shape
     finite = np.isfinite(times)
@@ -233,13 +272,15 @@ def _l1_additive(times, l1, lam):
     if lo > hi:
         return l1
 
-    tables = []
-    totals = []
-    for w in range(m):
-        weights = [p for p, _ in movable[w]]
-        profits = np.array([g for _, g in movable[w]])
-        tables.append(_knapsack(weights, profits, hi)[0])
-        totals.append(float(profits.sum()))
+    # step k offers each machine its k-th movable task, so every row takes
+    # its own tasks in task order
+    weights = np.full((max(map(len, movable)), m), np.inf)
+    gains = np.zeros(weights.shape)
+    for w, items in enumerate(movable):
+        for k, (p, g) in enumerate(items):
+            weights[k, w], gains[k, w] = p, g
+    tables = _knapsack(_knapsack_plan(weights, hi), gains)
+    totals = [float(np.array([g for _, g in items]).sum()) for items in movable]
 
     def passes(c):
         penalty = 0.0
@@ -288,52 +329,85 @@ def _disjunction_value(times, base):
     return max(base, int(per_task.max()))
 
 
+def _precedence_free_makespan(times):
+    """Largest machine load when every task goes to its cheapest machine."""
+    n_tasks, m = times.shape
+    choice = times.argmin(axis=1)
+    return int(np.bincount(choice, weights=times[np.arange(n_tasks), choice], minlength=m).max())
+
+
+def _l2_tables(times, capacity):
+    """Knapsack plan, traceback table and trace order of L2 at one width:
+    each task is one step, an item on every machine it fits."""
+    n_tasks, m = times.shape
+    plan = _knapsack_plan(times, capacity)
+    took = np.zeros((n_tasks, m, plan.width), dtype=bool)
+    # per machine, last task first: (offset of took[t, w, 0], weight, task)
+    trace = [
+        [((t * m + w) * plan.width, int(times[t, w]), t) for t in range(n_tasks - 1, -1, -1) if plan.present[t, w]]
+        for w in range(m)
+    ]
+    return plan, took, trace
+
+
+def _l2_cover(tables, mu_plus, target):
+    """Smallest capacity c* whose knapsacks reach `target` (the table width
+    if none does), and how often each task is packed by the best subsets at
+    c*."""
+    plan, took, trace = tables
+    best = _knapsack(plan, mu_plus[:, None], took)
+    g = np.zeros(plan.width)
+    for row in best:
+        g += row
+    reached = np.flatnonzero(g >= target - 1e-9)
+    c_star = int(reached[0]) if reached.size else plan.width
+    bits = took.tobytes()
+    coverage = [0] * len(mu_plus)
+    for items in trace:
+        # trace back the subset behind the best profit at c_star
+        c = min(c_star, plan.width - 1)
+        for offset, weight, t in items:
+            if bits[offset + c]:
+                coverage[t] += 1
+                c -= weight
+    return c_star, np.array(coverage, dtype=float)
+
+
 def _l2_value(times, max_iters):
     """Lagrangian bound from relaxing the task assignment constraints.
 
     For multipliers mu, a makespan-c schedule packs, per machine, tasks of
-    mu-value at least sum(mu) in total, so the smallest c whose per-machine
+    mu-value at least sum(mu) in total, so the smallest c* whose per-machine
     all-capacities knapsacks reach sum(mu) is a valid bound. Multipliers are
     updated by a subgradient step on the coverage counts of the knapsack
     solutions; the best bound over the iterations is kept.
+
+    The knapsacks stop at capacity U, the makespan of putting every task on
+    its cheapest machine. That schedule packs every task within U, so the
+    knapsacks reach sum(mu+) >= sum(mu) by U and c* <= U. Capacity c of a
+    knapsack depends only on capacities up to c, so the values and the
+    traced subsets are those of knapsacks over each machine's full load. An
+    iteration costs O(n * m * U) cell updates instead of O(n * m * sum p).
+    Should rounding keep the sum below the target at U, that iteration is
+    redone at full width.
     """
-    n_tasks, m = times.shape
-    finite = np.isfinite(times)
     mu = times.min(axis=1)
     step0 = max(1.0, float(mu.mean()) / 2.0)
     best = 1
 
-    items = []  # per machine: (task ids, integer weights)
-    for w in range(m):
-        tasks = np.flatnonzero(finite[:, w])
-        items.append((tasks, [int(times[t, w]) for t in tasks]))
-    caps = [max(sum(ws), 1) for _, ws in items]
-    hi = max(caps)
-
+    cap = _precedence_free_makespan(times)
+    capped = _l2_tables(times, cap)
+    full = None
     for it in range(1, max_iters + 1):
         mu_plus = np.clip(mu, 0.0, None)
         target = float(mu.sum())
-        tables = []
-        g = np.zeros(hi + 1)
-        for w in range(m):
-            tasks, weights = items[w]
-            best_row, took = _knapsack(weights, mu_plus[tasks], caps[w])
-            tables.append(took)
-            g[: caps[w] + 1] += best_row
-            g[caps[w] + 1 :] += best_row[-1]
-        reached = np.flatnonzero(g >= target - 1e-9)
-        c_star = int(reached[0]) if reached.size else hi + 1
+        c_star, coverage = _l2_cover(capped, mu_plus, target)
+        if c_star > cap:
+            if full is None:
+                loads = np.where(np.isfinite(times), times, 0.0).sum(axis=0)
+                full = _l2_tables(times, max(int(loads.max()), 1))
+            c_star, coverage = _l2_cover(full, mu_plus, target)
         best = max(best, c_star)
-
-        coverage = np.zeros(n_tasks)
-        for w in range(m):
-            # trace back the subset behind the best profit at c_star
-            tasks, weights = items[w]
-            c = min(c_star, caps[w])
-            for k in range(len(tasks) - 1, -1, -1):
-                if tables[w][k, c]:
-                    coverage[tasks[k]] += 1
-                    c -= weights[k]
         mu = mu + (step0 / it) * (1.0 - coverage)
     return best
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import glob as globmod
 import json
 import math
@@ -41,7 +42,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args keeps no state between calls
     parser = _Parser(prog="alwabp", description="Assembly line worker assignment and balancing solver")
     sub = parser.add_subparsers(dest="command", required=True)
 

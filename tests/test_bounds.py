@@ -16,7 +16,7 @@ from alwabp import (
     station_windows,
 )
 from alwabp.bounds import ALL_BOUNDS, DEFAULT_L1_ITERS, DEFAULT_L2_ITERS, NATIVE_BOUNDS
-from conftest import count_calls, rcmax_optimal, random_instance
+from conftest import count_calls, rcmax_optimal, random_instance, scale_instance
 
 
 def permuted_workers(inst, perm):
@@ -159,30 +159,73 @@ class TestL2:
 
 class TestKnapsack:
     def test_matches_brute_force(self):
+        # several rows per call: absent cells, items heavier than the
+        # capacity, zero profits and ties; every row must equal its own
+        # subset enumeration
         rng = np.random.Generator(np.random.PCG64(5))
-        for _ in range(60):
-            n = int(rng.integers(0, 7))
-            weights = [int(x) for x in rng.integers(1, 6, n)]
-            # small integer profits make ties common and keep float sums exact
-            profits = rng.integers(0, 4, n).astype(float)
+        for case in range(80):
+            steps, rows = int(rng.integers(0, 7)), int(rng.integers(1, 4))
             capacity = int(rng.integers(0, 12))
-            best, took = bounds._knapsack(weights, profits, capacity)
-            assert took.shape == (n, capacity + 1)
-            # subsets in increasing bitmask order, so among equal profits the
-            # first one found keeps lower-index items over higher ones
-            subsets = [s for r in range(n + 1) for s in itertools.combinations(range(n), r)]
-            subsets.sort(key=lambda s: sum(1 << k for k in s))
-            for c in range(capacity + 1):
-                fitting = [s for s in subsets if sum(weights[k] for k in s) <= c]
-                top = max(sum(profits[k] for k in s) for s in fitting)
-                assert best[c] == top
-                expected = next(s for s in fitting if sum(profits[k] for k in s) == top)
-                chosen, rem = [], c
-                for k in range(n - 1, -1, -1):
-                    if took[k, rem]:
-                        chosen.append(k)
-                        rem -= weights[k]
-                assert tuple(sorted(chosen)) == expected
+            weights = rng.integers(1, 15, (steps, rows)).astype(float)
+            weights[rng.random((steps, rows)) < 0.25] = np.inf
+            # small integer profits make ties common and keep float sums
+            # exact; every third case shares one profit per step across rows
+            shape = (steps, 1) if case % 3 == 0 else (steps, rows)
+            profits = rng.integers(0, 4, shape).astype(float)
+            took = np.zeros((steps, rows, capacity + 1), dtype=bool)
+            best = bounds._knapsack(bounds._knapsack_plan(weights, capacity), profits, took)
+            assert best.shape == (rows, capacity + 1)
+            gains = np.broadcast_to(profits, (steps, rows))
+            for r in range(rows):
+                items = [k for k in range(steps) if np.isfinite(weights[k, r])]
+                # subsets in increasing bitmask order, so among equal profits
+                # the first one found keeps lower-index items over higher ones
+                subsets = [s for n in range(len(items) + 1) for s in itertools.combinations(items, n)]
+                subsets.sort(key=lambda s: sum(1 << k for k in s))
+                for c in range(capacity + 1):
+                    fitting = [s for s in subsets if sum(weights[k, r] for k in s) <= c]
+                    top = max(sum(gains[k, r] for k in s) for s in fitting)
+                    assert best[r, c] == top
+                    expected = next(s for s in fitting if sum(gains[k, r] for k in s) == top)
+                    chosen, rem = [], c
+                    for k in range(steps - 1, -1, -1):
+                        if took[k, r, rem]:
+                            chosen.append(k)
+                            rem -= int(weights[k, r])
+                    assert tuple(sorted(chosen)) == expected
+
+    def test_rows_need_no_traceback_table(self):
+        rng = np.random.Generator(np.random.PCG64(6))
+        weights = rng.integers(1, 9, (6, 3)).astype(float)
+        profits = rng.random((6, 3))
+        plan = bounds._knapsack_plan(weights, 20)
+        took = np.zeros((6, 3, 21), dtype=bool)
+        assert np.array_equal(bounds._knapsack(plan, profits), bounds._knapsack(plan, profits, took))
+
+
+class TestL2Cap:
+    @staticmethod
+    def cases():
+        return [random_instance(seed) for seed in range(40)] + [
+            random_instance(9200 + k, 20 + 10 * k, 5 + k) for k in range(4)
+        ]
+
+    def test_cap_holds_without_fallback(self, monkeypatch):
+        # the capped tables reach the target in every iteration, so the
+        # full-width tables are never built
+        builds = count_calls(monkeypatch, bounds, "_l2_tables")
+        for inst in self.cases():
+            builds.clear()
+            all_bounds(inst, ("L2",))
+            assert len(builds) == 1
+
+    def test_full_width_fallback_same_values(self, monkeypatch):
+        expected = [bound_values(inst, ("L2",)) for inst in self.cases()]
+        monkeypatch.setattr(bounds, "_precedence_free_makespan", lambda times: 1)
+        builds = count_calls(monkeypatch, bounds, "_l2_tables")
+        assert [bound_values(inst, ("L2",)) for inst in self.cases()] == expected
+        # the full-width tables were built on every instance above
+        assert len(builds) == 2 * len(expected)
 
 
 class TestAllBounds:
@@ -227,6 +270,16 @@ class TestAllBounds:
             report = all_bounds(random_instance(seed), ALL_BOUNDS)
             digest.update(repr([(e.name, e.value) for e in report.entries]).encode())
         assert digest.hexdigest() == "62d7281312cd24289d54202853f018de4b0c3d61b5113a0c7a4c1a5b6c4f89fe"
+
+    def test_values_pinned_at_scale(self):
+        # the same at 20 to 70 tasks on 5 to 10 workers, where the L2 rows
+        # are capped far below each machine's total load
+        digest = hashlib.sha256()
+        cases = [random_instance(9100 + k, 20 + (k * 50) // 23, 5 + k % 6) for k in range(24)]
+        for inst in cases + [scale_instance()]:
+            report = all_bounds(inst, ALL_BOUNDS)
+            digest.update(repr([(e.name, e.value) for e in report.entries]).encode())
+        assert digest.hexdigest() == "c8c8ce0b9968d7f28e0185d0d17a2fe950296055ce742acc3a552669e3857d8e"
 
 
 class TestSharedWork:

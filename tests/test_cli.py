@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from alwabp import generate_instance, heuristic, write_instance
+from alwabp import cli, generate_instance, heuristic, write_instance
 from alwabp.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main, run
 from conftest import FIG1_TEXT, SINGLE_TEXT
 
@@ -260,3 +260,33 @@ class TestErrors:
     def test_main_prints_report(self, fig1_path, capsys):
         assert main(["oracle", fig1_path]) == EXIT_OK
         assert "value 6" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_outputs_match_fresh_parser(self, fig1_path, capsys, monkeypatch):
+        # one parser serves every call in a process; a rejected command
+        # between two good ones leaves it as a freshly built one would be
+        commands = (
+            ["solve", fig1_path, "--no-timings"],
+            ["oracle", fig1_path, "--time-limit", "5"],
+            ["bounds", fig1_path, "--no-timings"],
+        )
+
+        def outputs():
+            got = []
+            for argv in commands:
+                code = main(argv)
+                captured = capsys.readouterr()
+                got.append((code, captured.out, captured.err))
+            return got
+
+        assert cli._build_parser() is cli._build_parser()
+        reused = outputs()
+        assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_ERROR, EXIT_OK]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert outputs() == reused
+
+    def test_usage_error_on_every_call(self, fig1_path):
+        for _ in range(3):
+            with pytest.raises(cli._UsageError):
+                run(["oracle", fig1_path, "--time-limit", "5"])

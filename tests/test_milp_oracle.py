@@ -27,23 +27,33 @@ def _load_milp_optimum():
     return module.milp_optimum
 
 
+def _instance(seed, n, m, var, inf):
+    """Base times 1 to 10, arc density 0.2."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = [int(rng.integers(1, 11)) for _ in range(n)]
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2}
+    return generate_instance(base, edges, m, var, inf, seed)
+
+
 def _corpus():
     """20 instances of 12 to 16 tasks on 3 or 4 workers, both variabilities,
-    0 to 20 % infeasible cells, arc density 0.2."""
-    items = []
-    for k in range(20):
-        rng = np.random.Generator(np.random.PCG64(7100 + k))
-        n = 12 + k % 5
-        base = [int(rng.integers(1, 11)) for _ in range(n)]
-        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2}
-        var = "low" if k % 2 == 0 else "high"
-        items.append(generate_instance(base, edges, 3 + k % 2, var, (0.0, 0.1, 0.2)[k % 3], 7100 + k))
-    return items
+    0 to 20 % infeasible cells."""
+    return [
+        _instance(7100 + k, 12 + k % 5, 3 + k % 2, ("low", "high")[k % 2], (0.0, 0.1, 0.2)[k % 3]) for k in range(20)
+    ]
 
 
-def test_branch_and_bound_and_bounds_agree_with_milp():
+def _larger_corpus():
+    """4 instances of 17 to 20 tasks on 4 or 5 workers, where the L2
+    knapsacks are capped well below each worker's total load."""
+    return [
+        _instance(7200 + k, 17 + k, 4 + k % 2, ("low", "high")[k % 2], (0.0, 0.1, 0.2)[k % 3]) for k in range(4)
+    ]
+
+
+def _check_against_milp(corpus):
     milp_optimum = _load_milp_optimum()
-    for k, inst in enumerate(_corpus()):
+    for k, inst in enumerate(corpus):
         optimum = milp_optimum(inst)
         result = branch_and_bound(inst)
         if optimum is None:
@@ -54,3 +64,11 @@ def test_branch_and_bound_and_bounds_agree_with_milp():
         assert validate_solution(inst, result.solution) == [], f"instance {k}"
         for entry in all_bounds(inst, ALL_BOUNDS).entries:
             assert entry.value <= optimum, f"instance {k}: {entry.name}"
+
+
+def test_branch_and_bound_and_bounds_agree_with_milp():
+    _check_against_milp(_corpus())
+
+
+def test_larger_instances_agree_with_milp():
+    _check_against_milp(_larger_corpus())
