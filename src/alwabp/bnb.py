@@ -2,9 +2,11 @@
 
 The search assigns one task per level to every worker that keeps the worker
 order graph acyclic, applies reduction rules that pin, exclude and prune
-task-worker cells, and bounds each node on the reduced time matrix. Undo is
-frame-based: every mutation between a set_assignment and the matching
-unset_assignment is recorded and reverted in reverse order.
+task-worker cells, and bounds each node on the reduced time matrix. The
+worker order graph is kept transitively closed as one bitmask row per
+worker. Undo is frame-based: every mutation between a set_assignment and
+the matching unset_assignment is recorded (for the graph, the old value of
+each row an assignment changed) and reverted in reverse order.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .instance import (
     EnumerationLimitError,
     InfeasibleInstanceError,
     Solution,
+    iter_bits,
     topological_order,
 )
 
@@ -40,45 +43,46 @@ WARM_START_BEAM_FACTOR = 1
 
 
 class WorkerOrderGraph:
-    """Directed graph over workers, kept transitively closed; an arc (v, w)
-    states that v's station precedes w's."""
+    """Directed graph over workers, kept transitively closed: bit w of
+    rows[v] is set when v's station precedes w's."""
 
     def __init__(self, n):
         self.n = n
-        self.arcs = set()
-        self.preds = [set() for _ in range(n)]
-        self.succs = [set() for _ in range(n)]
+        self.rows = [0] * n
 
     def has(self, v, w):
-        return (v, w) in self.arcs
+        return bool(self.rows[v] >> w & 1)
 
-    def insert(self, a, b):
-        """Add arc (a, b) plus all transitive consequences; returns the newly
-        created arcs. The caller must have checked that no cycle results."""
-        if a == b or (a, b) in self.arcs:
-            return []
-        added = []
-        sources = self.preds[a] | {a}
-        targets = self.succs[b] | {b}
-        for x in sources:
-            for y in targets:
-                if x != y and (x, y) not in self.arcs:
-                    assert (y, x) not in self.arcs, "insertion would create a cycle"
-                    self.arcs.add((x, y))
-                    self.preds[y].add(x)
-                    self.succs[x].add(y)
-                    added.append((x, y))
-        return added
+    def link(self, before, w, after):
+        """Add the arcs v -> w for the workers v of mask `before` and w -> x
+        for the workers x of mask `after` (neither holding w), with their
+        transitive consequences: every row that reaches w or a worker of
+        `before` gains w and all w now reaches. Returns the (worker, old row)
+        pairs it changed. The caller must have checked that no cycle
+        results."""
+        rows = self.rows
+        reach = rows[w] | after
+        for x in iter_bits(after):
+            reach |= rows[x]
+        hit = before | 1 << w
+        assert not reach & hit, "link would create a cycle"
+        changed = [(w, rows[w])] if reach != rows[w] else []
+        rows[w] = reach
+        reach |= 1 << w
+        for v, row in enumerate(rows):
+            if (row & hit or before >> v & 1) and row | reach != row:
+                changed.append((v, row))
+                rows[v] = row | reach
+        return changed
 
-    def remove_arcs(self, arcs):
-        for x, y in arcs:
-            self.arcs.discard((x, y))
-            self.preds[y].discard(x)
-            self.succs[x].discard(y)
+    def restore(self, changed):
+        """Undo the links that returned `changed` (concatenated in order)."""
+        for v, row in reversed(changed):
+            self.rows[v] = row
 
     def topological_order(self):
         """All workers in an arc-respecting order, lowest index first."""
-        return topological_order(self.succs, self.n)
+        return topological_order([list(iter_bits(row)) for row in self.rows], self.n)
 
 
 class SearchState:
@@ -90,7 +94,9 @@ class SearchState:
         self.assignment = {}
         self.loads = [0] * inst.n_workers
         self.order_graph = WorkerOrderGraph(inst.n_workers)
-        self.frames = []  # each: (primary task, arcs, cells, assigned tasks)
+        # each: (primary task, (worker, old row) pairs of the order graph,
+        # cells, assigned tasks)
+        self.frames = []
 
     def mark_infeasible(self, t, w):
         """Set a cell infeasible; returns False when task t loses its last
@@ -106,33 +112,42 @@ class SearchState:
             self.eff.tobytes(),
             tuple(self.loads),
             tuple(sorted(self.assignment.items())),
-            frozenset(self.order_graph.arcs),
+            tuple(self.order_graph.rows),
         )
+
+
+def _neighbour_workers(state, t, preds, succs):
+    """Masks of the workers holding an assigned task of preds[t] and of
+    succs[t]; the worker t goes to is the caller's to exclude."""
+    asg = state.assignment
+    before = after = 0
+    for u in preds[t]:
+        if u in asg:
+            before |= 1 << asg[u]
+    for u in succs[t]:
+        if u in asg:
+            after |= 1 << asg[u]
+    return before, after
 
 
 def assignment_is_valid(state, t, w):
     """True iff pinning task t on worker w adds no arc to the worker order
     graph whose inverse (possibly through existing arcs) is already present."""
     inst = state.inst
-    asg = state.assignment
-    h = state.order_graph
-    pred_workers = {asg[u] for u in inst.preds_star[t] if u in asg} - {w}
-    succ_workers = {asg[u] for u in inst.succs_star[t] if u in asg} - {w}
-    for v in pred_workers:
-        if h.has(w, v):
-            return False
-    for x in succ_workers:
-        if h.has(x, w):
-            return False
-        for v in pred_workers:
-            if x == v or h.has(x, v):
-                return False
-    return True
+    before, after = _neighbour_workers(state, t, inst.preds_star, inst.succs_star)
+    other = ~(1 << w)
+    before &= other
+    after &= other
+    rows = state.order_graph.rows
+    if before & after or rows[w] & before:
+        return False
+    hit = before | 1 << w
+    return not any(rows[x] & hit for x in iter_bits(after))
 
 
 def set_assignment(state, t, w):
     """Assign t to w inside a fresh undo frame and pin it there (rule R1):
-    its other cells become infeasible. Load, order-graph arcs, cells and the
+    its other cells become infeasible. Load, order-graph rows, cells and the
     assignment itself are recorded for exact restoration."""
     assert not math.isinf(state.eff[t, w]), "assignment to an infeasible cell"
     state.frames.append((t, [], [], []))
@@ -144,9 +159,9 @@ def set_assignment(state, t, w):
 
 def unset_assignment(state, t, w):
     """Revert every mutation recorded since the matching set_assignment."""
-    primary, arcs, cells, assigns = state.frames.pop()
+    primary, rows, cells, assigns = state.frames.pop()
     assert primary == t and state.assignment.get(t) == w, "unbalanced set/unset of assignments"
-    state.order_graph.remove_arcs(reversed(arcs))
+    state.order_graph.restore(rows)
     for task in reversed(assigns):
         v = state.assignment.pop(task)
         state.loads[v] -= state.inst.times[task][v]
@@ -160,15 +175,9 @@ def _assign(state, t, w):
     state.assignment[t] = w
     state.loads[w] += inst.times[t][w]
     frame[3].append(t)
-    h = state.order_graph
-    for u in inst.preds_star[t]:
-        v = state.assignment.get(u)
-        if v is not None and v != w:
-            frame[1].extend(h.insert(v, w))
-    for u in inst.succs_star[t]:
-        x = state.assignment.get(u)
-        if x is not None and x != w:
-            frame[1].extend(h.insert(w, x))
+    before, after = _neighbour_workers(state, t, inst.preds_star, inst.succs_star)
+    other = ~(1 << w)
+    frame[1].extend(state.order_graph.link(before & other, w, after & other))
 
 
 def apply_reduction_rules(state, t, w, gub):
@@ -259,20 +268,6 @@ def apply_reduction_rules(state, t, w, gub):
     return False
 
 
-def _immediate_cycle(state, t, w):
-    inst = state.inst
-    h = state.order_graph
-    for u in inst.preds[t]:
-        v = state.assignment.get(u)
-        if v is not None and v != w and h.has(w, v):
-            return True
-    for u in inst.succs[t]:
-        x = state.assignment.get(u)
-        if x is not None and x != w and h.has(x, w):
-            return True
-    return False
-
-
 def select_branch_task(state, gub):
     """Unassigned task with the most infeasible workers; ties go to the task
     with the largest worker-minimal average-load bound, then the smallest
@@ -287,14 +282,22 @@ def select_branch_task(state, gub):
     p_min = state.eff.min(axis=1)
     total = float(p_min.sum())
     max_load = max(state.loads)
+    rows = state.order_graph.rows
     best = None
     for t in range(inst.n_tasks):
         if t in state.assignment:
             continue
+        # an immediate cycle: w precedes a worker holding a direct
+        # predecessor of t, or follows one holding a direct successor (no
+        # row holds its own bit, so a neighbour on w itself is no cycle)
+        pred_workers, succ_workers = _neighbour_workers(state, t, inst.preds, inst.succs)
+        follows = 0
+        for x in iter_bits(succ_workers):
+            follows |= rows[x]
         pairs = []
         for w in range(m):
             p = state.eff[t, w]
-            if math.isinf(p) or _immediate_cycle(state, t, w):
+            if math.isinf(p) or rows[w] & pred_workers or follows >> w & 1:
                 continue
             after = max(max_load, state.loads[w] + p, math.ceil((total - p_min[t] + p) / m - 1e-9))
             if after < gub:
@@ -427,7 +430,7 @@ def branch_and_bound(inst, config=None):
         search.run(root_lb)
     except _TimeUp:
         status = FEASIBLE_TIME_LIMIT
-    if status is OPTIMAL and search.incumbent is None:
+    if status == OPTIMAL and search.incumbent is None:
         status = INFEASIBLE_STATUS
     value = search.incumbent.cycle_time if search.incumbent is not None else None
     return BnbResult(search.incumbent, value, status, search.nodes, time.monotonic() - t0, root_report)

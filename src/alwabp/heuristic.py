@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as lb
-from .instance import INFEASIBLE, InfeasibleInstanceError, Solution
+from .instance import INFEASIBLE, InfeasibleInstanceError, Solution, iter_bits
 
 FAILED = None  # beam-search failure is a normal outcome, not an error
 
@@ -66,13 +66,6 @@ class IpbsParams:
 def max_pw_priority(inst, t):
     """Minimum positional weight: own minimum time plus all successors'."""
     return inst.beam_tables.pw[t]
-
-
-def _iter_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class PartialAssignment:
@@ -194,7 +187,7 @@ def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
 
 
 def _to_solution(inst, stations, workers_mask):
-    order = [w for w, _, _ in stations] + sorted(_iter_bits(workers_mask))
+    order = [w for w, _, _ in stations] + list(iter_bits(workers_mask))
     assignment = [0] * inst.n_tasks
     cycle = 0
     for w, tasks, load in stations:
@@ -222,7 +215,7 @@ def beam_search_feasible(inst, params, *, deadline=None):
         heap = []  # (-rlb_sum, -insertion counter, node); root is the evictee
         for node in beam:
             for _rep in range(params.beam_factor):
-                for w in _iter_bits(node.workers_mask):
+                for w in iter_bits(node.workers_mask):
                     assigned, avail, load, chosen = _fill_station(inst, node, w, capacity, rng, uniforms, tables)
                     workers = node.workers_mask ^ (1 << w)
                     if assigned == full:

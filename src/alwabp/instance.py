@@ -74,6 +74,14 @@ def topological_order(succ, n):
     return order
 
 
+def iter_bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def transitive_closure(edges, n):
     """All pairs (a, b) such that b is reachable from a via one or more edges.
 
@@ -90,22 +98,17 @@ def transitive_closure(edges, n):
         for u in succ[v]:
             m |= (1 << u) | reach[u]
         reach[v] = m
-    closure = set()
-    for v in range(n):
-        m = reach[v]
-        while m:
-            low = m & -m
-            closure.add((v, low.bit_length() - 1))
-            m ^= low
-    return closure
+    return {(v, u) for v in range(n) for u in iter_bits(reach[v])}
+
 
 def transitive_reduction(edges, n):
-    """Minimal edge set with the same transitive closure (unique for a DAG).
+    """Minimal edge set with the same transitive closure (unique for a DAG)."""
+    return _reduction(edges, transitive_closure(edges, n), n)
 
-    An edge (a, b) is redundant iff some intermediate c satisfies
-    (a, c) and (c, b) in the closure.
-    """
-    closure = transitive_closure(edges, n)
+
+def _reduction(edges, closure, n):
+    """The edges (a, b) with no intermediate c such that (a, c) and (c, b)
+    are in closure, the transitive closure of edges."""
     desc = [0] * n
     anc = [0] * n
     for a, b in closure:
@@ -139,9 +142,8 @@ class Instance:
             if all(p == INFEASIBLE for p in row):
                 raise ValueError(f"task {t + 1} has no feasible worker")
         edges = set(edges)
-        _check_nodes(edges, self.n_tasks)
         self.closure = frozenset(transitive_closure(edges, self.n_tasks))
-        self.edges = frozenset(transitive_reduction(edges, self.n_tasks))
+        self.edges = frozenset(_reduction(edges, self.closure, self.n_tasks))
 
         n = self.n_tasks
         self.preds = tuple(frozenset(a for a, b in self.edges if b == t) for t in range(n))

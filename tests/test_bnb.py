@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from alwabp import (
     INFEASIBLE,
     BnbConfig,
+    CycleError,
     EnumerationLimitError,
     Instance,
     SearchState,
@@ -17,36 +19,86 @@ from alwabp import (
     check_solution_against_model,
     select_branch_task,
     set_assignment,
+    transitive_closure,
     unset_assignment,
     validate_solution,
     write_instance,
 )
 from alwabp import bnb, bounds, cli, heuristic
 from alwabp.bnb import FEASIBLE_TIME_LIMIT, INFEASIBLE_STATUS, OPTIMAL, _node_bound
+from alwabp.instance import topological_order
 from conftest import count_calls, random_instance, scale_instance
 
 
-class TestWorkerOrderGraph:
-    def test_insert_keeps_closure(self):
-        h = WorkerOrderGraph(4)
-        h.insert(0, 1)
-        h.insert(1, 2)
-        assert h.has(0, 2)
-        added = h.insert(2, 3)
-        assert h.has(0, 3) and h.has(1, 3)
-        assert set(added) == {(2, 3), (0, 3), (1, 3)}
+def graph_arcs(h):
+    return {(v, w) for v in range(h.n) for w in range(h.n) if h.has(v, w)}
 
-    def test_remove_restores(self):
-        h = WorkerOrderGraph(3)
-        first = h.insert(0, 1)
-        second = h.insert(1, 2)
-        h.remove_arcs(reversed(second))
-        assert h.arcs == set(first) == {(0, 1)}
+
+def bits(workers):
+    return sum(1 << w for w in workers)
+
+
+class TestWorkerOrderGraph:
+    def test_link_keeps_closure(self):
+        h = WorkerOrderGraph(4)
+        h.link(bits([0]), 1, 0)
+        h.link(0, 1, bits([2]))
+        assert h.has(0, 2)
+        changed = h.link(bits([2]), 3, 0)
+        assert h.has(0, 3) and h.has(1, 3)
+        assert sorted(v for v, _ in changed) == [0, 1, 2]
+        assert h.rows == [bits([1, 2, 3]), bits([2, 3]), bits([3]), 0]
+
+    def test_restore_undoes_nested_links(self):
+        h = WorkerOrderGraph(5)
+        first = h.link(bits([0]), 1, 0)
+        rows_first = list(h.rows)
+        second = h.link(bits([1]), 2, bits([3]))
+        rows_second = list(h.rows)
+        third = h.link(bits([4]), 0, 0)
+        assert graph_arcs(h) == transitive_closure({(0, 1), (1, 2), (2, 3), (4, 0)}, 5)
+        h.restore(third)
+        assert h.rows == rows_second
+        h.restore(second)
+        assert h.rows == rows_first
+        h.restore(first)
+        assert h.rows == [0] * 5
+        # a frame holds the links of several assignments in one list
+        frame = h.link(bits([0]), 1, 0) + h.link(bits([1]), 2, bits([3]))
+        h.restore(frame)
+        assert h.rows == [0] * 5
 
     def test_topological_order_prefers_low_index(self):
         h = WorkerOrderGraph(4)
-        h.insert(2, 0)
+        h.link(bits([2]), 0, 0)
         assert h.topological_order() == [1, 2, 0, 3]
+
+    def test_random_links_match_closure(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            m = rng.randint(1, 7)
+            station = list(range(m))
+            rng.shuffle(station)  # every linked arc goes forward in this order
+            h = WorkerOrderGraph(m)
+            linked = set()
+            history = []
+            for _ in range(rng.randint(1, 6)):
+                w = rng.randrange(m)
+                before = bits(v for v in range(m) if station[v] < station[w] and rng.random() < 0.3)
+                after = bits(x for x in range(m) if station[x] > station[w] and rng.random() < 0.3)
+                rows = list(h.rows)
+                changed = h.link(before, w, after)
+                assert all(rows[v] == old != h.rows[v] for v, old in changed)
+                assert {v for v, _ in changed} == {v for v in range(m) if rows[v] != h.rows[v]}
+                history.append((rows, changed))
+                linked |= {(v, w) for v in range(m) if before >> v & 1}
+                linked |= {(w, x) for x in range(m) if after >> x & 1}
+                assert graph_arcs(h) == transitive_closure(linked, m)
+                order = h.topological_order()
+                assert all(order.index(v) < order.index(w) for v, w in graph_arcs(h))
+            for rows, changed in reversed(history):
+                h.restore(changed)
+                assert h.rows == rows
 
 
 class TestAssignmentValidity:
@@ -68,6 +120,46 @@ class TestAssignmentValidity:
         set_assignment(state, 0, 0)
         set_assignment(state, 1, 1)
         assert assignment_is_valid(state, 4, 1)
+
+    def test_matches_acyclicity_reference(self):
+        # the arcs an assignment adds, checked for a cycle from scratch
+        outcomes = set()
+        for seed in range(60):
+            inst = random_instance(seed, n_tasks=9, n_workers=4, infeasibility=0.0)
+            rng = random.Random(seed)
+            state = SearchState(inst)
+            tasks = list(range(inst.n_tasks))
+            rng.shuffle(tasks)
+            for t in tasks[: rng.randint(1, 7)]:
+                w = rng.randrange(inst.n_workers)
+                if reference_valid(state, t, w):
+                    set_assignment(state, t, w)
+            assert graph_arcs(state.order_graph) == transitive_closure(assignment_arcs(state), inst.n_workers)
+            for t in range(inst.n_tasks):
+                if t not in state.assignment:
+                    for w in range(inst.n_workers):
+                        valid = assignment_is_valid(state, t, w)
+                        assert valid == reference_valid(state, t, w)
+                        outcomes.add(valid)
+        assert outcomes == {True, False}
+
+
+def assignment_arcs(state, asg=None):
+    """Worker order arcs implied by an assignment through the task closure."""
+    asg = state.assignment if asg is None else asg
+    return {(asg[a], asg[b]) for a, b in state.inst.closure if a in asg and b in asg and asg[a] != asg[b]}
+
+
+def reference_valid(state, t, w):
+    """True iff assigning t to w leaves the implied worker digraph acyclic."""
+    succ = [[] for _ in range(state.inst.n_workers)]
+    for v, x in assignment_arcs(state, {**state.assignment, t: w}):
+        succ[v].append(x)
+    try:
+        topological_order(succ, state.inst.n_workers)
+    except CycleError:
+        return False
+    return True
 
 
 class TestSetUnset:

@@ -26,7 +26,8 @@ from alwabp import (
     validate_solution,
 )
 from alwabp import Solution, heuristic
-from alwabp.heuristic import _UNIFORM_BLOCK, _draw, _fill_station, _iter_bits, _rlb_sum
+from alwabp.heuristic import _UNIFORM_BLOCK, _draw, _fill_station, _rlb_sum
+from alwabp.instance import iter_bits
 from conftest import random_instance, scale_instance
 
 
@@ -114,7 +115,7 @@ class TestBeamTables:
 
 def draw_reference(cands, u, pw):
     # the cumulative-list draw that _draw replaced
-    order = list(_iter_bits(cands))
+    order = list(iter_bits(cands))
     cum = []
     total = 0
     for t in order:
@@ -254,14 +255,14 @@ class TestStrengthen:
                         if not dead:
                             set_assignment(state, t, w)
                             dead = apply_reduction_rules(state, t, w, gub=math.inf)
-                            forced = state.assignment.keys() - set(_iter_bits(assigned_mask))
+                            forced = state.assignment.keys() - set(iter_bits(assigned_mask))
                             assert dead or not forced, f"seed {seed}"
             score = _rlb_sum(inst, assigned_mask, workers_mask)
             if dead:
                 assert score is None, f"seed {seed}"
                 continue
             unassigned = [t for t in range(inst.n_tasks) if not (assigned_mask >> t) & 1]
-            workers = list(_iter_bits(workers_mask))
+            workers = list(iter_bits(workers_mask))
             if unassigned and workers:
                 mins = state.eff[np.ix_(unassigned, workers)].min(axis=1)
                 expected = None if np.isinf(mins).any() else int(mins.sum())
