@@ -279,9 +279,11 @@ def select_branch_task(state, gub):
     feasible workers, in worker order."""
     inst = state.inst
     m = inst.n_workers
-    p_min = state.eff.min(axis=1)
-    total = float(p_min.sum())
-    max_load = max(state.loads)
+    eff = state.eff.tolist()
+    p_min = state.eff.min(axis=1).tolist()
+    total = sum(p_min)  # of integer-valued floats, so exact in any order
+    loads = state.loads
+    max_load = max(loads)
     rows = state.order_graph.rows
     best = None
     for t in range(inst.n_tasks):
@@ -295,11 +297,11 @@ def select_branch_task(state, gub):
         for x in iter_bits(succ_workers):
             follows |= rows[x]
         pairs = []
-        for w in range(m):
-            p = state.eff[t, w]
+        rest = total - p_min[t]
+        for w, p in enumerate(eff[t]):
             if math.isinf(p) or rows[w] & pred_workers or follows >> w & 1:
                 continue
-            after = max(max_load, state.loads[w] + p, math.ceil((total - p_min[t] + p) / m - 1e-9))
+            after = max(max_load, loads[w] + p, math.ceil((rest + p) / m - 1e-9))
             if after < gub:
                 pairs.append((after, w))
         key = (m - len(pairs), min(pairs)[0] if pairs else math.inf, -t)
@@ -311,11 +313,15 @@ def select_branch_task(state, gub):
 def _node_bound(state, gub):
     """Bound the completions of the current node on the reduced matrix: the
     loads, then LC1, LC2 and LC3 on the minimum times, returning once a stage
-    reaches the incumbent. A node ascent would cost more than it prunes."""
+    reaches the incumbent. A node ascent would cost more than it prunes.
+
+    LC3 is searched only on [value so far, gub]: below the value it cannot
+    raise the bound, and at gub the node is pruned whatever LC3's exact
+    value. So the result is exact below gub and at least gub otherwise."""
     inst = state.inst
     m = inst.n_workers
-    p_min = state.eff.min(axis=1)
-    p_int = [int(x) for x in p_min]
+    p_min = state.eff.min(axis=1).astype(np.int64)
+    p_int = p_min.tolist()
     total = sum(p_int)
     value = max(max(state.loads), max(p_int), -(-total // m))
     if value >= gub:
@@ -323,7 +329,7 @@ def _node_bound(state, gub):
     value = max(value, lb._lc2(sorted(p_int, reverse=True), m))
     if value >= gub:
         return value
-    return max(value, lb._lc3(inst, p_int))
+    return lb._lc3(inst, p_min, value, min(max(value, total), gub))
 
 
 @dataclass

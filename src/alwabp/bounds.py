@@ -84,41 +84,43 @@ def _lc2(p_desc, m):
 def station_windows(inst, cycle_time):
     """Earliest and latest feasible station of each task at a candidate
     cycle time, both 1-based. The window may be empty (earliest > latest)."""
-    p = inst.min_times
-    e, l = _windows(p, *_star_sums(inst, p), inst.n_workers, cycle_time)
-    return StationWindow(tuple(e), tuple(l))
+    heads, tails = _heads_tails(inst, inst.min_times)
+    m = inst.n_workers
+    return StationWindow(
+        tuple(_ceil_div(h, cycle_time) for h in heads),
+        tuple(m + 1 - _ceil_div(t, cycle_time) for t in tails),
+    )
 
 
-def _star_sums(inst, p):
-    """Total time p of each task's transitive predecessors and successors."""
-    pred = [sum(p[j] for j in inst.preds_star[t]) for t in range(inst.n_tasks)]
-    succ = [sum(p[j] for j in inst.succs_star[t]) for t in range(inst.n_tasks)]
-    return pred, succ
-
-
-def _windows(p, pred_sums, succ_sums, m, c):
-    earliest = [_ceil_div(pred_sums[t] + p[t], c) for t in range(len(p))]
-    latest = [m + 1 - _ceil_div(succ_sums[t] + p[t], c) for t in range(len(p))]
-    return earliest, latest
+def _heads_tails(inst, p):
+    """Per task, its time p plus the times of all its transitive
+    predecessors (heads) and of all its transitive successors (tails), as
+    lists of ints; one product each with the instance's reach matrix."""
+    p = np.asarray(p, dtype=np.int64)
+    reach = inst.reach_matrix
+    return (p @ reach).tolist(), (reach @ p).tolist()
 
 
 def lc3(inst):
     """Smallest cycle time for which every task has a non-empty station window."""
-    return _lc3(inst, inst.min_times)
-
-
-def _lc3(inst, p):
-    pred_sums, succ_sums = _star_sums(inst, p)
+    p = inst.min_times
     lo = max(1, max(p))
-    hi = max(lo, sum(p))
+    return _lc3(inst, p, lo, max(lo, sum(p)))
 
-    def feasible(c):
-        e, l = _windows(p, pred_sums, succ_sums, inst.n_workers, c)
-        return all(et <= lt for et, lt in zip(e, l))
 
+def _lc3(inst, p, lo, hi):
+    """LC3 of the times p searched on the window [lo, hi] only: the smallest
+    c in it at which every task has a non-empty station window, or hi if
+    there is none, which is min(max(LC3, lo), hi) for lo >= max(1, max(p)).
+    Task t's window at c is non-empty when ceil(head_t / c) + ceil(tail_t / c)
+    <= m + 1, and that only gets easier as c grows. A node bound asks only
+    whether LC3 reaches the incumbent, so it passes the value it already has
+    and the incumbent as the window; the root lc3 passes the full range."""
+    heads, tails = _heads_tails(inst, p)
+    limit = inst.n_workers + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(mid):
+        if all(-(-h // mid) - (-t // mid) <= limit for h, t in zip(heads, tails)):
             hi = mid
         else:
             lo = mid + 1
@@ -145,21 +147,22 @@ def _l1_ascent(times, max_iters):
     best_val = -math.inf
     best_lam = lam.copy()
     rows = np.arange(n_tasks)
+    weighted = np.full(times.shape, np.inf)  # infeasible cells stay inf
     for k in range(1, max_iters + 1):
-        weighted = np.where(finite, filled * lam, np.inf)
-        value = weighted.min(axis=1).sum()
+        np.multiply(filled, lam, out=weighted, where=finite)
+        choice = weighted.argmin(axis=1)
+        value = np.add.reduce(weighted[rows, choice])
         if value > best_val:
             best_val = value
             best_lam = lam.copy()
-        choice = weighted.argmin(axis=1)
         loads = np.bincount(choice, weights=filled[rows, choice], minlength=m)
-        direction = loads - loads.mean()
+        direction = loads - np.add.reduce(loads) / m
         norm = np.abs(direction).max()
         if norm < 1e-12:
             break
         lam = lam + (0.5 / (m * k)) * direction / norm
-        np.clip(lam, 0.0, None, out=lam)
-        lam /= lam.sum()
+        np.maximum(lam, 0.0, out=lam)
+        lam /= np.add.reduce(lam)
     return best_val, best_lam
 
 
@@ -330,10 +333,36 @@ def _disjunction_value(times, base):
 
 
 def _precedence_free_makespan(times):
-    """Largest machine load when every task goes to its cheapest machine."""
-    n_tasks, m = times.shape
-    choice = times.argmin(axis=1)
-    return int(np.bincount(choice, weights=times[np.arange(n_tasks), choice], minlength=m).max())
+    """Makespan S of a schedule that ignores precedence. Every task starts
+    on its cheapest machine, whose largest load is U; then, while a task on
+    a most-loaded machine can move to another machine and end that
+    machine's load below the makespan, the move with the smallest larger
+    of the two new loads is made. Each move lowers the makespan or the
+    number of machines at it, so the loop ends, and S <= U."""
+    rows = times.tolist()
+    m = len(rows[0])
+    where = [row.index(min(row)) for row in rows]
+    loads = [0.0] * m
+    for row, w in zip(rows, where):
+        loads[w] += row[w]
+    while True:
+        peak = max(loads)
+        top = loads.index(peak)
+        move = None
+        for t, row in enumerate(rows):
+            if where[t] != top:
+                continue
+            for w, p in enumerate(row):
+                if w != top and loads[w] + p < peak:
+                    key = max(loads[w] + p, peak - row[top])
+                    if move is None or key < move[0]:
+                        move = (key, t, w)
+        if move is None:
+            return int(peak)
+        _, t, w = move
+        loads[top] -= rows[t][top]
+        loads[w] += rows[t][w]
+        where[t] = w
 
 
 def _l2_tables(times, capacity):
@@ -382,14 +411,18 @@ def _l2_value(times, max_iters):
     updated by a subgradient step on the coverage counts of the knapsack
     solutions; the best bound over the iterations is kept.
 
-    The knapsacks stop at capacity U, the makespan of putting every task on
-    its cheapest machine. That schedule packs every task within U, so the
-    knapsacks reach sum(mu+) >= sum(mu) by U and c* <= U. Capacity c of a
-    knapsack depends only on capacities up to c, so the values and the
-    traced subsets are those of knapsacks over each machine's full load. An
-    iteration costs O(n * m * U) cell updates instead of O(n * m * sum p).
-    Should rounding keep the sum below the target at U, that iteration is
-    redone at full width.
+    The knapsacks stop at capacity S, the makespan of a precedence-free
+    schedule (_precedence_free_makespan). That schedule packs every task
+    within S, so the knapsacks reach sum(mu+) >= sum(mu) by S and c* <= S.
+    Capacity c of a knapsack depends only on capacities up to c, so the
+    values and the traced subsets are those of knapsacks over each machine's
+    full load. An iteration costs O(n * m * S) cell updates instead of
+    O(n * m * sum p). Should rounding keep the sum below the target at S,
+    that iteration is redone at full width.
+
+    For the same reason no c* exceeds S, so once the best bound reaches S
+    after an iteration that needed no full-width redo, the remaining
+    iterations cannot raise it and are skipped.
     """
     mu = times.min(axis=1)
     step0 = max(1.0, float(mu.mean()) / 2.0)
@@ -402,12 +435,15 @@ def _l2_value(times, max_iters):
         mu_plus = np.clip(mu, 0.0, None)
         target = float(mu.sum())
         c_star, coverage = _l2_cover(capped, mu_plus, target)
-        if c_star > cap:
+        redone = c_star > cap
+        if redone:
             if full is None:
                 loads = np.where(np.isfinite(times), times, 0.0).sum(axis=0)
                 full = _l2_tables(times, max(int(loads.max()), 1))
             c_star, coverage = _l2_cover(full, mu_plus, target)
         best = max(best, c_star)
+        if best >= cap and not redone:
+            break
         mu = mu + (step0 / it) * (1.0 - coverage)
     return best
 

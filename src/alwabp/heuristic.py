@@ -200,8 +200,20 @@ def _to_solution(inst, stations, workers_mask):
 def beam_search_feasible(inst, params, *, deadline=None):
     """Probabilistic beam search for a full assignment with cycle time at
     most params.cycle_time. Returns the first complete solution, or FAILED
-    (None) once all stations have been processed or, checked before each
-    level, once the time.monotonic() deadline has passed."""
+    (None) once no partial can complete or, checked before each level, once
+    the time.monotonic() deadline has passed.
+
+    Two exits skip work whose outcome is already fixed, so every result is
+    the one of running all levels out:
+    - a level whose smallest score exceeds the capacity times the stations
+      left fails the call: each unassigned task costs at least its score
+      term on any remaining worker, and each remaining station holds at most
+      the capacity, so no partial in the beam can complete;
+    - the last level is decided in closed form (_last_station): with one
+      worker left, a fill takes every remaining task, whatever it draws, if
+      and only if they all fit that worker within the capacity. The first
+      such partial in beam order is the one the fills would complete first,
+      and no random number is drawn for it."""
     rng = np.random.default_rng(params.seed)
     uniforms = []
     capacity = params.cycle_time
@@ -209,7 +221,7 @@ def beam_search_feasible(inst, params, *, deadline=None):
     full = (1 << inst.n_tasks) - 1
     beam = [PartialAssignment(inst)]
     counter = 0
-    for _level in range(inst.n_workers):
+    for stations_left in range(inst.n_workers - 1, 0, -1):  # workers a child of this level has left
         if deadline is not None and time.monotonic() >= deadline:
             return FAILED
         heap = []  # (-rlb_sum, -insertion counter, node); root is the evictee
@@ -231,9 +243,24 @@ def beam_search_feasible(inst, params, *, deadline=None):
                         heapq.heappush(heap, (-score, -counter, child))
                     else:
                         heapq.heapreplace(heap, (-score, -counter, child))
-        if not heap:
+        if not heap or -max(heap)[0] > capacity * stations_left:
             return FAILED
         beam = [item[2] for item in sorted(heap, key=lambda item: -item[1])]
+    if deadline is not None and time.monotonic() >= deadline:
+        return FAILED
+    return _last_station(inst, beam, capacity, full)
+
+
+def _last_station(inst, beam, capacity, full):
+    """The solution of the first partial in beam, each with one worker left,
+    whose remaining tasks all fit that worker within capacity; FAILED if
+    there is none."""
+    for node in beam:
+        load = _rlb_sum(inst, node.assigned_mask, node.workers_mask)
+        if load is not None and load <= capacity:
+            w = node.workers_mask.bit_length() - 1
+            rest = tuple(iter_bits(full ^ node.assigned_mask))
+            return _to_solution(inst, node.stations + ((w, rest, load),), 0)
     return FAILED
 
 

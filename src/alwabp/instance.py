@@ -117,6 +117,19 @@ def _reduction(edges, closure, n):
     return {(a, b) for a, b in set(edges) if not desc[a] & anc[b]}
 
 
+def _adjacency(pairs, n):
+    """Per node, the frozensets of its predecessors and of its successors
+    under the pairs (a, b), built in one scan of pairs. Each set receives
+    its members in scan order, which fixes its iteration order; the
+    reduction rules iterate these sets, so their order shapes the search."""
+    preds = [[] for _ in range(n)]
+    succs = [[] for _ in range(n)]
+    for a, b in pairs:
+        preds[b].append(a)
+        succs[a].append(b)
+    return tuple(map(frozenset, preds)), tuple(map(frozenset, succs))
+
+
 class Instance:
     """An immutable problem instance.
 
@@ -146,10 +159,8 @@ class Instance:
         self.edges = frozenset(_reduction(edges, self.closure, self.n_tasks))
 
         n = self.n_tasks
-        self.preds = tuple(frozenset(a for a, b in self.edges if b == t) for t in range(n))
-        self.succs = tuple(frozenset(b for a, b in self.edges if a == t) for t in range(n))
-        self.preds_star = tuple(frozenset(a for a, b in self.closure if b == t) for t in range(n))
-        self.succs_star = tuple(frozenset(b for a, b in self.closure if a == t) for t in range(n))
+        self.preds, self.succs = _adjacency(self.edges, n)
+        self.preds_star, self.succs_star = _adjacency(self.closure, n)
         # Bitmask of direct predecessors, for O(1) availability tests.
         self.pred_mask = tuple(sum(1 << a for a in self.preds[t]) for t in range(n))
         self.succ_lists = tuple(tuple(sorted(self.succs[t])) for t in range(n))
@@ -166,6 +177,17 @@ class Instance:
     def beam_tables(self):
         """The beam search's lookup tables (see BeamTables), built on first use."""
         return BeamTables(self)
+
+    @cached_property
+    def reach_matrix(self):
+        """int64 (n, n) matrix with 1 at [a, b] when a == b or (a, b) is in
+        the closure: p @ it sums each task's time p with its transitive
+        predecessors', it @ p with its transitive successors'."""
+        reach = np.eye(self.n_tasks, dtype=np.int64)
+        if self.closure:
+            reach[tuple(zip(*self.closure))] = 1
+        reach.setflags(write=False)
+        return reach
 
     def __eq__(self, other):
         if not isinstance(other, Instance):

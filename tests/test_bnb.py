@@ -17,6 +17,7 @@ from alwabp import (
     branch_and_bound,
     brute_force_optimal,
     check_solution_against_model,
+    generate_instance,
     select_branch_task,
     set_assignment,
     transitive_closure,
@@ -372,6 +373,31 @@ class TestNodeBound:
             set_assignment(state, 0, w)
             assert _node_bound(state, math.inf) >= state.loads[w]
         assert ascents == []
+
+    def test_exact_below_the_incumbent(self):
+        # LC3 searched on [value so far, gub] gives the bound of the full
+        # search whenever that is below gub, and a prune otherwise; dense
+        # precedence on four workers makes LC3 the deciding stage at times
+        decided_by_lc3 = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            edges = {(i, j) for i in range(10) for j in range(i + 1, 10) if rng.random() < 0.5}
+            inst = generate_instance([rng.randint(1, 10) for _ in range(10)], edges, 4, "low", 0.1, seed)
+            state = SearchState(inst)
+            if seed % 2:
+                t0 = seed % inst.n_tasks
+                w0 = next(w for w in range(inst.n_workers) if inst.times[t0][w] != INFEASIBLE)
+                set_assignment(state, t0, w0)
+                apply_reduction_rules(state, t0, w0, gub=60)
+            p = [int(x) for x in state.eff.min(axis=1)]
+            m = inst.n_workers
+            before = max(max(state.loads), max(p), -(-sum(p) // m), bounds._lc2(sorted(p, reverse=True), m))
+            full = max(before, bounds._lc3(inst, p, max(p), max(max(p), sum(p))))
+            decided_by_lc3 += full > before
+            for gub in [*range(1, full + 3), math.inf]:
+                value = _node_bound(state, gub)
+                assert value == full if full < gub else value >= gub
+        assert decided_by_lc3
 
     def test_one_ascent_per_solve_at_the_root(self, monkeypatch):
         ascents = count_calls(monkeypatch, bounds, "_l1_ascent")

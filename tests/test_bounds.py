@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,58 @@ class TestStationWindows:
             for t in range(6):
                 assert b.earliest[t] <= a.earliest[t]
                 assert b.latest[t] >= a.latest[t]
+
+
+def reference_windows(inst, p, c):
+    """Station windows at cycle time c from star sums taken over the
+    preds_star and succs_star sets, task by task."""
+    m = inst.n_workers
+    pred = [sum(p[j] for j in inst.preds_star[t]) for t in range(inst.n_tasks)]
+    succ = [sum(p[j] for j in inst.succs_star[t]) for t in range(inst.n_tasks)]
+    earliest = [math.ceil((pred[t] + p[t]) / c) for t in range(inst.n_tasks)]
+    latest = [m + 1 - math.ceil((succ[t] + p[t]) / c) for t in range(inst.n_tasks)]
+    return earliest, latest
+
+
+def reference_lc3(inst, p):
+    """LC3 by binary search over [max p, sum p] on reference_windows."""
+    lo = max(1, max(p))
+    hi = max(lo, sum(p))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        earliest, latest = reference_windows(inst, p, mid)
+        if all(e <= l for e, l in zip(earliest, latest)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class TestLC3Window:
+    @staticmethod
+    def cases():
+        return [random_instance(seed) for seed in range(40)] + [
+            random_instance(9300 + k, 12 + 4 * k, 3 + k % 4) for k in range(8)
+        ] + [scale_instance()]
+
+    def test_station_windows_match_star_sums(self):
+        for inst in self.cases():
+            for c in range(1, sum(inst.min_times) + 2, 3):
+                win = station_windows(inst, c)
+                assert (list(win.earliest), list(win.latest)) == reference_windows(inst, inst.min_times, c)
+
+    def test_window_search_clamps_the_full_value(self):
+        rng = np.random.default_rng(17)
+        for inst in self.cases():
+            assert lc3(inst) == reference_lc3(inst, inst.min_times)
+            for _ in range(10):
+                p = [int(x) for x in rng.integers(1, 30, inst.n_tasks)]
+                full = reference_lc3(inst, p)
+                for _ in range(5):
+                    lo = int(rng.integers(max(p), sum(p) + 3))
+                    hi = lo + int(rng.integers(0, 2 * (full - lo) + 4 if full > lo else 4))
+                    assert bounds._lc3(inst, p, lo, hi) == min(max(full, lo), hi)
+                    assert bounds._lc3(inst, np.array(p), lo, hi) == min(max(full, lo), hi)
 
 
 class TestLC3:
@@ -226,6 +279,49 @@ class TestL2Cap:
         assert [bound_values(inst, ("L2",)) for inst in self.cases()] == expected
         # the full-width tables were built on every instance above
         assert len(builds) == 2 * len(expected)
+
+
+def reference_l2_value(times, max_iters=DEFAULT_L2_ITERS):
+    """L2 with every iteration run on knapsacks over each machine's full
+    load: no capped tables, no early stop."""
+    mu = times.min(axis=1)
+    step0 = max(1.0, float(mu.mean()) / 2.0)
+    loads = np.where(np.isfinite(times), times, 0.0).sum(axis=0)
+    tables = bounds._l2_tables(times, max(int(loads.max()), 1))
+    best = 1
+    for it in range(1, max_iters + 1):
+        c_star, coverage = bounds._l2_cover(tables, np.clip(mu, 0.0, None), float(mu.sum()))
+        best = max(best, c_star)
+        mu = mu + (step0 / it) * (1.0 - coverage)
+    return best
+
+
+class TestL2Stop:
+    @staticmethod
+    def cases():
+        return [random_instance(seed) for seed in range(40)] + [
+            random_instance(9400 + k, 12 + 6 * k, 3 + k % 5) for k in range(8)
+        ]
+
+    def test_schedule_makespan(self):
+        # a real precedence-free schedule: no better than the optimum, and
+        # no worse than every task on its cheapest machine
+        for inst in self.cases()[:40]:
+            times = inst.times_array
+            choice = times.argmin(axis=1)
+            cheapest = np.bincount(choice, weights=times[np.arange(inst.n_tasks), choice]).max()
+            assert rcmax_optimal(inst) <= bounds._precedence_free_makespan(times) <= cheapest
+
+    def test_same_value_as_every_iteration(self, monkeypatch):
+        covers = count_calls(monkeypatch, bounds, "_l2_cover")
+        counts = []
+        for inst in self.cases():
+            expected = reference_l2_value(inst.times_array)
+            covers.clear()
+            assert bounds._l2_value(inst.times_array, DEFAULT_L2_ITERS) == expected
+            counts.append(len(covers))
+        assert max(counts) == DEFAULT_L2_ITERS
+        assert min(counts) < DEFAULT_L2_ITERS  # the stop skipped iterations
 
 
 class TestAllBounds:

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 import time
 from bisect import bisect_right
@@ -16,6 +17,7 @@ from alwabp import (
     SearchState,
     all_bounds,
     apply_reduction_rules,
+    lc1,
     beam_search_feasible,
     brute_force_optimal,
     initial_upper_bound,
@@ -28,7 +30,7 @@ from alwabp import (
 from alwabp import Solution, heuristic
 from alwabp.heuristic import _UNIFORM_BLOCK, _draw, _fill_station, _rlb_sum
 from alwabp.instance import iter_bits
-from conftest import random_instance, scale_instance
+from conftest import count_calls, random_instance, scale_instance
 
 
 class TestMaxPw:
@@ -267,6 +269,76 @@ class TestStrengthen:
                 mins = state.eff[np.ix_(unassigned, workers)].min(axis=1)
                 expected = None if np.isinf(mins).any() else int(mins.sum())
                 assert score == expected, f"seed {seed}"
+
+
+def reference_beam_search(inst, params):
+    """The beam search with every level built by fills, the last one
+    included, and no early exit; returns the result and the number of
+    fills."""
+    rng = np.random.default_rng(params.seed)
+    uniforms = []
+    capacity = params.cycle_time
+    tables = inst.beam_tables
+    full = (1 << inst.n_tasks) - 1
+    beam = [heuristic.PartialAssignment(inst)]
+    counter = 0
+    fills = 0
+    for _level in range(inst.n_workers):
+        heap = []
+        for node in beam:
+            for _rep in range(params.beam_factor):
+                for w in iter_bits(node.workers_mask):
+                    assigned, avail, load, chosen = _fill_station(inst, node, w, capacity, rng, uniforms, tables)
+                    fills += 1
+                    workers = node.workers_mask ^ (1 << w)
+                    if assigned == full:
+                        return heuristic._to_solution(inst, node.stations + ((w, chosen, load),), workers), fills
+                    score = _rlb_sum(inst, assigned, workers)
+                    if score is None:
+                        continue
+                    counter += 1
+                    if len(heap) == params.gamma and -score <= heap[0][0]:
+                        continue
+                    child = heuristic.PartialAssignment(
+                        inst, node.stations + ((w, chosen, load),), assigned, avail, workers
+                    )
+                    if len(heap) < params.gamma:
+                        heapq.heappush(heap, (-score, -counter, child))
+                    else:
+                        heapq.heapreplace(heap, (-score, -counter, child))
+        if not heap:
+            return FAILED, fills
+        beam = [item[2] for item in sorted(heap, key=lambda item: -item[1])]
+    return FAILED, fills
+
+
+class TestBeamExits:
+    def test_same_results_as_full_levels(self, monkeypatch):
+        # random instances on 1 to 6 workers, up to 25 tasks, at capacities
+        # from loose to infeasible; the exits change no result, FAILED
+        # included, and save fills
+        fills = count_calls(monkeypatch, heuristic, "_fill_station")
+        ref_fills = 0
+        outcomes = set()
+        for seed in range(36):
+            m = 1 + seed % 6
+            n = 4 + (seed * 7) % 22
+            inst = random_instance(7000 + seed, n, m, infeasibility=0.0 if m == 1 else None)
+            start = initial_upper_bound(inst)
+            if start is FAILED:
+                continue  # no feasible line at any cycle time
+            start = start.cycle_time
+            root = all_bounds(inst).best
+            for c in {start, math.floor(0.9 * start), root, root - 1, lc1(inst)} - {0}:
+                for gamma in (1, 2):
+                    for beam_factor in (1, 2):
+                        params = BeamParams(cycle_time=c, gamma=gamma, beam_factor=beam_factor, seed=seed)
+                        expected, used = reference_beam_search(inst, params)
+                        ref_fills += used
+                        assert beam_search_feasible(inst, params) == expected, (seed, c, gamma, beam_factor)
+                        outcomes.add(expected is FAILED)
+        assert outcomes == {True, False}
+        assert len(fills) < ref_fills
 
 
 class TestBeamSearch:

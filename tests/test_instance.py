@@ -19,7 +19,7 @@ from alwabp import (
     write_instance,
 )
 from alwabp.instance import topological_order
-from conftest import FIG1_EDGES, FIG1_TEXT, SINGLE_TEXT, closure_by_reachability, random_instance
+from conftest import FIG1_EDGES, FIG1_TEXT, SINGLE_TEXT, closure_by_reachability, random_instance, scale_instance
 
 
 class TestParse:
@@ -169,6 +169,33 @@ class TestClosureReduction:
         n, edges = data
         closure = transitive_closure(edges, n)
         assert transitive_reduction(closure, n) == transitive_reduction(edges, n)
+
+
+class TestAdjacency:
+    @staticmethod
+    def cases():
+        return [random_instance(seed) for seed in range(30)] + [
+            random_instance(9500 + k, 15 + 10 * k, 4) for k in range(6)
+        ] + [scale_instance()]
+
+    def test_sets_iterate_as_per_task_scans(self):
+        # the reduction rules iterate these sets, so their order matters too
+        for inst in self.cases():
+            for t in range(inst.n_tasks):
+                for got, pairs, side in (
+                    (inst.preds[t], inst.edges, 1),
+                    (inst.succs[t], inst.edges, 0),
+                    (inst.preds_star[t], inst.closure, 1),
+                    (inst.succs_star[t], inst.closure, 0),
+                ):
+                    scan = frozenset(pair[1 - side] for pair in pairs if pair[side] == t)
+                    assert list(got) == list(scan)
+
+    def test_reach_matrix_is_reflexive_closure(self):
+        for inst in self.cases():
+            n = inst.n_tasks
+            expected = [[int(a == b or (a, b) in inst.closure) for b in range(n)] for a in range(n)]
+            assert inst.reach_matrix.tolist() == expected
 
 
 class TestReverse:
