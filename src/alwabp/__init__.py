@@ -40,7 +40,6 @@ from .heuristic import (
     initial_upper_bound,
     ipbs,
     local_search,
-    max_pw_priority,
 )
 from .bnb import (
     BnbConfig,

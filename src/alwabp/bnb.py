@@ -4,9 +4,12 @@ The search assigns one task per level to every worker that keeps the worker
 order graph acyclic, applies reduction rules that pin, exclude and prune
 task-worker cells, and bounds each node on the reduced time matrix. The
 worker order graph is kept transitively closed as one bitmask row per
-worker. Undo is frame-based: every mutation between a set_assignment and
-the matching unset_assignment is recorded (for the graph, the old value of
-each row an assignment changed) and reverted in reverse order.
+worker, and the reduced time matrix as one Python list per task. Undo is
+frame-based: every mutation between a set_assignment and the matching
+unset_assignment is recorded (for the graph, the old value of each row an
+assignment changed; for the matrix, the (task, worker) cell, which only
+ever goes from the instance's time to INFEASIBLE) and reverted in reverse
+order.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from . import bounds as lb
 from .heuristic import IpbsParams, ipbs
@@ -90,43 +91,45 @@ class SearchState:
 
     def __init__(self, inst):
         self.inst = inst
-        self.eff = np.array(inst.times_array, copy=True)
+        self.eff = [list(row) for row in inst.times]
         self.assignment = {}
+        self.on_worker = [0] * inst.n_workers  # bitmask of the tasks assigned to each worker
         self.loads = [0] * inst.n_workers
         self.order_graph = WorkerOrderGraph(inst.n_workers)
         # each: (primary task, (worker, old row) pairs of the order graph,
-        # cells, assigned tasks)
+        # (task, worker) cells marked infeasible, assigned tasks)
         self.frames = []
 
     def mark_infeasible(self, t, w):
         """Set a cell infeasible; returns False when task t loses its last
         worker (the node is then dead)."""
-        if math.isinf(self.eff[t, w]):
+        row = self.eff[t]
+        if row[w] == INFEASIBLE:
             return True
-        self.frames[-1][2].append((t, w, self.eff[t, w]))
-        self.eff[t, w] = INFEASIBLE
-        return bool(np.isfinite(self.eff[t]).any())
+        self.frames[-1][2].append((t, w))
+        row[w] = INFEASIBLE
+        return min(row) != INFEASIBLE
 
     def fingerprint(self):
         return (
-            self.eff.tobytes(),
+            tuple(map(tuple, self.eff)),
             tuple(self.loads),
             tuple(sorted(self.assignment.items())),
+            tuple(self.on_worker),
             tuple(self.order_graph.rows),
         )
 
 
-def _neighbour_workers(state, t, preds, succs):
-    """Masks of the workers holding an assigned task of preds[t] and of
-    succs[t]; the worker t goes to is the caller's to exclude."""
-    asg = state.assignment
+def _neighbour_workers(state, preds, succs):
+    """Masks of the workers holding an assigned task of the task mask preds
+    and of the task mask succs; the worker the task in question goes to is
+    the caller's to exclude."""
     before = after = 0
-    for u in preds[t]:
-        if u in asg:
-            before |= 1 << asg[u]
-    for u in succs[t]:
-        if u in asg:
-            after |= 1 << asg[u]
+    for w, tasks in enumerate(state.on_worker):
+        if preds & tasks:
+            before |= 1 << w
+        if succs & tasks:
+            after |= 1 << w
     return before, after
 
 
@@ -134,7 +137,7 @@ def assignment_is_valid(state, t, w):
     """True iff pinning task t on worker w adds no arc to the worker order
     graph whose inverse (possibly through existing arcs) is already present."""
     inst = state.inst
-    before, after = _neighbour_workers(state, t, inst.preds_star, inst.succs_star)
+    before, after = _neighbour_workers(state, inst.pred_star[t], inst.succ_star[t])
     other = ~(1 << w)
     before &= other
     after &= other
@@ -149,7 +152,7 @@ def set_assignment(state, t, w):
     """Assign t to w inside a fresh undo frame and pin it there (rule R1):
     its other cells become infeasible. Load, order-graph rows, cells and the
     assignment itself are recorded for exact restoration."""
-    assert not math.isinf(state.eff[t, w]), "assignment to an infeasible cell"
+    assert state.eff[t][w] != INFEASIBLE, "assignment to an infeasible cell"
     state.frames.append((t, [], [], []))
     for w2 in range(state.inst.n_workers):
         if w2 != w:
@@ -162,20 +165,23 @@ def unset_assignment(state, t, w):
     primary, rows, cells, assigns = state.frames.pop()
     assert primary == t and state.assignment.get(t) == w, "unbalanced set/unset of assignments"
     state.order_graph.restore(rows)
+    times = state.inst.times
     for task in reversed(assigns):
         v = state.assignment.pop(task)
-        state.loads[v] -= state.inst.times[task][v]
-    for task, v, old in reversed(cells):
-        state.eff[task, v] = old
+        state.on_worker[v] ^= 1 << task
+        state.loads[v] -= times[task][v]
+    for task, v in reversed(cells):
+        state.eff[task][v] = times[task][v]
 
 
 def _assign(state, t, w):
     inst = state.inst
     frame = state.frames[-1]
     state.assignment[t] = w
+    state.on_worker[w] |= 1 << t
     state.loads[w] += inst.times[t][w]
     frame[3].append(t)
-    before, after = _neighbour_workers(state, t, inst.preds_star, inst.succs_star)
+    before, after = _neighbour_workers(state, inst.pred_star[t], inst.succ_star[t])
     other = ~(1 << w)
     frame[1].extend(state.order_graph.link(before & other, w, after & other))
 
@@ -193,13 +199,16 @@ def apply_reduction_rules(state, t, w, gub):
     """
     inst = state.inst
     m = inst.n_workers
+    eff = state.eff
+    asg = state.assignment
+    succ_star, pred_star = inst.succ_star, inst.pred_star
     pending_assign = [t]
-    pending_marks = [(task, worker) for task, worker, _ in state.frames[-1][2]]
+    pending_marks = list(state.frames[-1][2])
 
     def mark(task, worker):
-        if state.assignment.get(task) == worker:
+        if asg.get(task) == worker:
             return False  # contradiction: an assigned task lost its own cell
-        if math.isinf(state.eff[task, worker]):
+        if eff[task][worker] == INFEASIBLE:
             return True
         if not state.mark_infeasible(task, worker):
             return False
@@ -209,62 +218,50 @@ def apply_reduction_rules(state, t, w, gub):
     while pending_assign or pending_marks:
         if pending_assign:
             a = pending_assign.pop()
-            wa = state.assignment[a]
+            wa = asg[a]
             for w2 in range(m):
                 if w2 != wa and not mark(a, w2):
                     return True
             # continuity forcing against every task already pinned on wa
-            for b, wb in list(state.assignment.items()):
+            for b, wb in list(asg.items()):
                 if wb != wa or b == a:
                     continue
-                if b in inst.succs_star[a]:
-                    lo, hi = a, b
-                elif a in inst.succs_star[b]:
-                    lo, hi = b, a
-                else:
-                    continue
-                for j in inst.succs_star[lo] & inst.preds_star[hi]:
-                    if j in state.assignment:
-                        if state.assignment[j] != wa:
+                for j in iter_bits(succ_star[a] & pred_star[b] | succ_star[b] & pred_star[a]):
+                    if j in asg:
+                        if asg[j] != wa:
                             return True
                         continue
-                    if math.isinf(state.eff[j, wa]) or not assignment_is_valid(state, j, wa):
+                    if eff[j][wa] == INFEASIBLE or not assignment_is_valid(state, j, wa):
                         return True
                     _assign(state, j, wa)
                     pending_assign.append(j)
             # infeasible intermediates already present around a
-            for star in (inst.succs_star, inst.preds_star):
-                for j in star[a]:
-                    if math.isinf(state.eff[j, wa]):
-                        for k in star[j]:
+            for star in (succ_star, pred_star):
+                for j in iter_bits(star[a]):
+                    if eff[j][wa] == INFEASIBLE:
+                        for k in iter_bits(star[j]):
                             if not mark(k, wa):
                                 return True
             # chain-load exclusion relative to the incumbent
-            pa = state.eff[a, wa]
-            for t2 in range(inst.n_tasks):
-                if t2 in state.assignment or math.isinf(state.eff[t2, wa]):
+            pa = eff[a][wa]
+            after_a, before_a = succ_star[a], pred_star[a]
+            for t2 in iter_bits(after_a | before_a):
+                if t2 in asg or eff[t2][wa] == INFEASIBLE:
                     continue
-                if t2 in inst.succs_star[a]:
-                    between = inst.succs_star[a] & inst.preds_star[t2]
-                elif t2 in inst.preds_star[a]:
-                    between = inst.succs_star[t2] & inst.preds_star[a]
-                else:
-                    continue
-                total = pa + state.eff[t2, wa]
-                for u in between:
-                    total += state.eff[u, wa]
+                total = pa + eff[t2][wa]
+                for u in iter_bits(after_a & pred_star[t2] | succ_star[t2] & before_a):
+                    total += eff[u][wa]
                 if total >= gub and not mark(t2, wa):
                     return True
         else:
             j, wj = pending_marks.pop()
             # propagate exclusions induced by the fresh mark
-            for star, star_rev in ((inst.succs_star, inst.preds_star), (inst.preds_star, inst.succs_star)):
-                for i in star_rev[j]:
-                    if state.assignment.get(i) == wj:
-                        for k in star[j]:
-                            if not mark(k, wj):
-                                return True
-                        break
+            on_wj = state.on_worker[wj]
+            for star, star_rev in ((succ_star, pred_star), (pred_star, succ_star)):
+                if star_rev[j] & on_wj:
+                    for k in iter_bits(star[j]):
+                        if not mark(k, wj):
+                            return True
     return False
 
 
@@ -279,9 +276,9 @@ def select_branch_task(state, gub):
     feasible workers, in worker order."""
     inst = state.inst
     m = inst.n_workers
-    eff = state.eff.tolist()
-    p_min = state.eff.min(axis=1).tolist()
-    total = sum(p_min)  # of integer-valued floats, so exact in any order
+    eff = state.eff
+    p_min = [min(row) for row in eff]
+    total = sum(p_min)
     loads = state.loads
     max_load = max(loads)
     rows = state.order_graph.rows
@@ -292,14 +289,14 @@ def select_branch_task(state, gub):
         # an immediate cycle: w precedes a worker holding a direct
         # predecessor of t, or follows one holding a direct successor (no
         # row holds its own bit, so a neighbour on w itself is no cycle)
-        pred_workers, succ_workers = _neighbour_workers(state, t, inst.preds, inst.succs)
+        pred_workers, succ_workers = _neighbour_workers(state, inst.pred_mask[t], inst.succ_mask[t])
         follows = 0
         for x in iter_bits(succ_workers):
             follows |= rows[x]
         pairs = []
         rest = total - p_min[t]
         for w, p in enumerate(eff[t]):
-            if math.isinf(p) or rows[w] & pred_workers or follows >> w & 1:
+            if p == INFEASIBLE or rows[w] & pred_workers or follows >> w & 1:
                 continue
             after = max(max_load, loads[w] + p, math.ceil((rest + p) / m - 1e-9))
             if after < gub:
@@ -320,13 +317,12 @@ def _node_bound(state, gub):
     value. So the result is exact below gub and at least gub otherwise."""
     inst = state.inst
     m = inst.n_workers
-    p_min = state.eff.min(axis=1).astype(np.int64)
-    p_int = p_min.tolist()
-    total = sum(p_int)
-    value = max(max(state.loads), max(p_int), -(-total // m))
+    p_min = [min(row) for row in state.eff]
+    total = sum(p_min)
+    value = max(max(state.loads), max(p_min), -(-total // m))
     if value >= gub:
         return value
-    value = max(value, lb._lc2(sorted(p_int, reverse=True), m))
+    value = max(value, lb._lc2(sorted(p_min, reverse=True), m))
     if value >= gub:
         return value
     return lb._lc3(inst, p_min, value, min(max(value, total), gub))

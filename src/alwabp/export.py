@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .instance import INFEASIBLE, AlwabpError
+from .instance import INFEASIBLE, AlwabpError, iter_bits
 
 M2 = "m2"
 M3 = "m3"
@@ -104,8 +104,8 @@ def build_model(inst, variant):
 
     if variant == M3:
         for i in range(n):
-            for j in sorted(inst.succs_star[i]):
-                for k in sorted(inst.succs_star[j]):
+            for j in iter_bits(inst.succ_star[i]):
+                for k in iter_bits(inst.succ_star[j]):
                     shared = able[i] & able[j] & able[k]
                     for w in sorted(shared):
                         add(Constraint(

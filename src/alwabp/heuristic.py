@@ -63,11 +63,6 @@ class IpbsParams:
             raise ValueError("repetitions, beam width and beam factor must be >= 1")
 
 
-def max_pw_priority(inst, t):
-    """Minimum positional weight: own minimum time plus all successors'."""
-    return inst.beam_tables.pw[t]
-
-
 class PartialAssignment:
     """State of a partially built line: stations closed so far, the assigned
     and available (all predecessors assigned) tasks, and the workers that
@@ -160,7 +155,7 @@ def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
     pw_chunks = tables.pw_chunks
     times = inst.times
     pred_mask = inst.pred_mask
-    succ_lists = inst.succ_lists
+    successors = tables.successors
     avail = node.avail_mask
     assigned = node.assigned_mask
     load = 0
@@ -180,7 +175,7 @@ def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
         bit = 1 << t
         avail ^= bit
         assigned |= bit
-        for u in succ_lists[t]:  # unassigned, as t was until now
+        for u in successors[t]:  # unassigned, as t was until now
             if pred_mask[u] & assigned == pred_mask[u]:
                 avail |= 1 << u
     return assigned, avail, load, tuple(chosen)
@@ -357,10 +352,10 @@ def local_search(inst, sol):
         # at the given stations, without breaking a precedence
         if times[t][station_worker[s]] == INFEASIBLE:
             return False
-        for p in inst.preds_star[t]:
+        for p in iter_bits(inst.pred_star[t]):
             if override.get(p, pos[p]) > s:
                 return False
-        for q in inst.succs_star[t]:
+        for q in iter_bits(inst.succ_star[t]):
             if override.get(q, pos[q]) < s:
                 return False
         return True

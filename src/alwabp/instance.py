@@ -82,52 +82,49 @@ def iter_bits(mask):
         mask ^= low
 
 
-def transitive_closure(edges, n):
-    """All pairs (a, b) such that b is reachable from a via one or more edges.
-
-    Descendant sets are kept as bitmasks and accumulated in reverse
-    topological order.
-    """
+def _descendants(edges, n):
+    """(star, direct): per node, the bitmask of every node reachable from it
+    by one or more edges, and that of its successors under the transitive
+    reduction, accumulated in one scan in reverse topological order. A
+    successor stays direct unless another successor already reaches it."""
     _check_nodes(edges, n)
     succ = [[] for _ in range(n)]
     for a, b in edges:
         succ[a].append(b)
-    reach = [0] * n
+    star = [0] * n
+    direct = [0] * n
     for v in reversed(topological_order(succ, n)):
-        m = 0
+        reach = covered = 0
         for u in succ[v]:
-            m |= (1 << u) | reach[u]
-        reach[v] = m
-    return {(v, u) for v in range(n) for u in iter_bits(reach[v])}
+            reach |= 1 << u | star[u]
+            covered |= star[u]
+        star[v] = reach
+        direct[v] = reach & ~covered
+    return star, direct
+
+
+def _pairs(masks):
+    """The pairs (a, b) for the set bits b of masks[a]."""
+    return {(a, b) for a, mask in enumerate(masks) for b in iter_bits(mask)}
+
+
+def _transpose(masks):
+    """out[b] has bit a set when masks[a] has bit b set."""
+    out = [0] * len(masks)
+    for a, mask in enumerate(masks):
+        for b in iter_bits(mask):
+            out[b] |= 1 << a
+    return out
+
+
+def transitive_closure(edges, n):
+    """All pairs (a, b) such that b is reachable from a via one or more edges."""
+    return _pairs(_descendants(edges, n)[0])
 
 
 def transitive_reduction(edges, n):
     """Minimal edge set with the same transitive closure (unique for a DAG)."""
-    return _reduction(edges, transitive_closure(edges, n), n)
-
-
-def _reduction(edges, closure, n):
-    """The edges (a, b) with no intermediate c such that (a, c) and (c, b)
-    are in closure, the transitive closure of edges."""
-    desc = [0] * n
-    anc = [0] * n
-    for a, b in closure:
-        desc[a] |= 1 << b
-        anc[b] |= 1 << a
-    return {(a, b) for a, b in set(edges) if not desc[a] & anc[b]}
-
-
-def _adjacency(pairs, n):
-    """Per node, the frozensets of its predecessors and of its successors
-    under the pairs (a, b), built in one scan of pairs. Each set receives
-    its members in scan order, which fixes its iteration order; the
-    reduction rules iterate these sets, so their order shapes the search."""
-    preds = [[] for _ in range(n)]
-    succs = [[] for _ in range(n)]
-    for a, b in pairs:
-        preds[b].append(a)
-        succs[a].append(b)
-    return tuple(map(frozenset, preds)), tuple(map(frozenset, succs))
+    return _pairs(_descendants(edges, n)[1])
 
 
 class Instance:
@@ -136,6 +133,11 @@ class Instance:
     times[t][w] is the duration of task t for worker w (positive int) or
     INFEASIBLE. `edges` is stored transitively reduced; `closure` is its
     transitive closure. The number of stations equals the number of workers.
+
+    The same relations are held per task as int bitmasks: succ_mask[t] and
+    pred_mask[t] have a bit for each direct successor and predecessor of t
+    (under `edges`), succ_star[t] and pred_star[t] one for each transitive
+    one (under `closure`).
     """
 
     def __init__(self, times, edges):
@@ -150,20 +152,18 @@ class Instance:
             if len(row) != self.n_workers:
                 raise ValueError(f"task {t + 1}: expected {self.n_workers} times")
             for p in row:
-                if p != INFEASIBLE and (not isinstance(p, int) or p < 1):
+                if p != INFEASIBLE and (not isinstance(p, int) or isinstance(p, bool) or p < 1):
                     raise ValueError(f"task {t + 1}: durations must be positive integers or INFEASIBLE")
             if all(p == INFEASIBLE for p in row):
                 raise ValueError(f"task {t + 1} has no feasible worker")
-        edges = set(edges)
-        self.closure = frozenset(transitive_closure(edges, self.n_tasks))
-        self.edges = frozenset(_reduction(edges, self.closure, self.n_tasks))
-
         n = self.n_tasks
-        self.preds, self.succs = _adjacency(self.edges, n)
-        self.preds_star, self.succs_star = _adjacency(self.closure, n)
-        # Bitmask of direct predecessors, for O(1) availability tests.
-        self.pred_mask = tuple(sum(1 << a for a in self.preds[t]) for t in range(n))
-        self.succ_lists = tuple(tuple(sorted(self.succs[t])) for t in range(n))
+        star, direct = _descendants(set(edges), n)
+        self.closure = frozenset(_pairs(star))
+        self.edges = frozenset(_pairs(direct))
+        self.succ_star = tuple(star)
+        self.pred_star = tuple(_transpose(star))
+        self.succ_mask = tuple(direct)
+        self.pred_mask = tuple(_transpose(direct))
         self.min_times = tuple(min(p for p in row if p != INFEASIBLE) for row in self.times)
         self.max_finite_times = tuple(max(p for p in row if p != INFEASIBLE) for row in self.times)
         self.feasible_workers = tuple(
@@ -222,14 +222,16 @@ class BeamTables:
     positional weight: its own minimum time plus that of all successors.
     pw_chunks[k][b] is the pw sum of the tasks 8k + i for the set bits i of
     byte b, so the weight of a task mask is the sum of one lookup per byte;
-    it holds 256 ints per 8 tasks, 256 * ceil(n / 8) in all.
+    it holds 256 ints per 8 tasks, 256 * ceil(n / 8) in all. successors[t]
+    is the tuple of t's direct successors, ascending: the fill loop walks it
+    once per placed task, faster than the bits of succ_mask[t].
 
     row_minima memoises, per mask of remaining workers, each task's minimum
     time over those workers. It holds at most one row of n ints per worker
     mask asked for, so at most 2^m rows of n.
     """
 
-    __slots__ = ("fit_times", "fit_masks", "pw", "pw_chunks", "_times", "_rows")
+    __slots__ = ("fit_times", "fit_masks", "pw", "pw_chunks", "successors", "_times", "_rows")
 
     def __init__(self, inst):
         self.fit_times = []
@@ -242,8 +244,9 @@ class BeamTables:
             self.fit_times.append(tuple(p for p, _ in pairs))
             self.fit_masks.append(tuple(masks))
         p = inst.min_times
-        self.pw = tuple(p[t] + sum(p[j] for j in inst.succs_star[t]) for t in range(inst.n_tasks))
+        self.pw = tuple(p[t] + sum(p[j] for j in iter_bits(inst.succ_star[t])) for t in range(inst.n_tasks))
         self.pw_chunks = tuple(_byte_sums(self.pw[k : k + 8]) for k in range(0, inst.n_tasks, 8))
+        self.successors = tuple(tuple(iter_bits(mask)) for mask in inst.succ_mask)
         self._times = inst.times
         self._rows = {}
 
@@ -443,7 +446,7 @@ def generate_instance(base_times, base_edges, n_workers, variability, infeasibil
     n_tasks = len(base_times)
     if n_tasks < 1:
         raise ValueError("need at least one base time")
-    if any(not isinstance(p, int) or p < 1 for p in base_times):
+    if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in base_times):
         raise ValueError("base times must be positive integers")
     if n_workers < 1:
         raise ValueError("need at least one worker")

@@ -27,7 +27,7 @@ from alwabp import (
 )
 from alwabp import bnb, bounds, cli, heuristic
 from alwabp.bnb import FEASIBLE_TIME_LIMIT, INFEASIBLE_STATUS, OPTIMAL, _node_bound
-from alwabp.instance import topological_order
+from alwabp.instance import iter_bits, topological_order
 from conftest import count_calls, random_instance, scale_instance
 
 
@@ -178,9 +178,9 @@ class TestSetUnset:
         state = SearchState(fig1)
         before = state.fingerprint()
         set_assignment(state, 1, 1)
-        assert math.isinf(state.eff[1, 0]) and math.isinf(state.eff[1, 2])
-        assert state.eff[1, 1] == 5
-        assert state.eff.min(axis=1)[1] == 5
+        assert math.isinf(state.eff[1][0]) and math.isinf(state.eff[1][2])
+        assert state.eff[1][1] == 5
+        assert min(state.eff[1]) == 5
         unset_assignment(state, 1, 1)
         assert state.fingerprint() == before
         assert list(state.eff[1]) == [4, 5, 4]
@@ -194,7 +194,7 @@ class TestSetUnset:
         assert not apply_reduction_rules(state, 0, 0, gub=math.inf)
         set_assignment(state, 1, 1)
         assert not apply_reduction_rules(state, 1, 1, gub=math.inf)
-        assert math.isinf(state.eff[2, 0])
+        assert math.isinf(state.eff[2][0])
 
     def test_direct_edge_creates_arc(self, fig1):
         state = SearchState(fig1)
@@ -226,8 +226,8 @@ class TestReductionRules:
         set_assignment(state, 0, 2)
         dead = apply_reduction_rules(state, 0, 2, gub=100)
         assert not dead
-        assert math.isinf(state.eff[0, 0])
-        assert math.isinf(state.eff[0, 1])
+        assert math.isinf(state.eff[0][0])
+        assert math.isinf(state.eff[0][1])
 
     def test_chain_load_exclusion(self, fig1):
         # tasks 2, 3, 5 lie between tasks 1 and 6; their worker-1 times plus
@@ -236,13 +236,13 @@ class TestReductionRules:
         set_assignment(state, 0, 0)
         dead = apply_reduction_rules(state, 0, 0, gub=7)
         assert not dead
-        assert math.isinf(state.eff[5, 0])
+        assert math.isinf(state.eff[5][0])
 
     def test_no_exclusion_with_loose_incumbent(self, fig1):
         state = SearchState(fig1)
         set_assignment(state, 0, 0)
         apply_reduction_rules(state, 0, 0, gub=100)
-        assert not math.isinf(state.eff[5, 0])
+        assert not math.isinf(state.eff[5][0])
 
     def test_forced_task_contradiction_is_dead(self):
         inst = Instance([[1, 1], [INFEASIBLE, 1], [1, 1]], {(0, 1), (1, 2)})
@@ -258,7 +258,7 @@ class TestReductionRules:
         state = SearchState(inst)
         set_assignment(state, 0, 0)
         assert not apply_reduction_rules(state, 0, 0, gub=100)
-        assert math.isinf(state.eff[2, 0])
+        assert math.isinf(state.eff[2][0])
 
     def test_forcing_assigns_between_task(self, fig1):
         state = SearchState(fig1)
@@ -282,7 +282,7 @@ def reference_branch_choice(state, gub):
     """Transparent restatement of the three-level branching rule; returns
     the task and the (bound, worker) pairs of its feasible workers."""
     inst = state.inst
-    p_min = [min(state.eff[t, w] for w in range(inst.n_workers)) for t in range(inst.n_tasks)]
+    p_min = [min(state.eff[t][w] for w in range(inst.n_workers)) for t in range(inst.n_tasks)]
     total = sum(p_min)
     max_load = max(state.loads)
     scored = []
@@ -292,16 +292,16 @@ def reference_branch_choice(state, gub):
         infeasible = 0
         pairs = []
         for w in range(inst.n_workers):
-            cell = state.eff[t, w]
+            cell = state.eff[t][w]
             if math.isinf(cell):
                 infeasible += 1
                 continue
             cyclic = False
-            for u in inst.preds[t]:
+            for u in iter_bits(inst.pred_mask[t]):
                 v = state.assignment.get(u)
                 if v is not None and v != w and state.order_graph.has(w, v):
                     cyclic = True
-            for u in inst.succs[t]:
+            for u in iter_bits(inst.succ_mask[t]):
                 x = state.assignment.get(u)
                 if x is not None and x != w and state.order_graph.has(x, w):
                     cyclic = True
@@ -359,7 +359,7 @@ class TestBranchSelection:
         t, pairs = select_branch_task(state, gub=math.inf)
         assert 0 in [w for _, w in pairs]  # the loaded worker is scored
         for after, w in pairs:
-            assert after >= state.loads[w] + state.eff[t, w]
+            assert after >= state.loads[w] + state.eff[t][w]
 
 
 class TestNodeBound:
@@ -369,7 +369,7 @@ class TestNodeBound:
         for seed in range(20):
             inst = random_instance(seed)
             state = SearchState(inst)
-            w = next(w for w in range(inst.n_workers) if not math.isinf(state.eff[0, w]))
+            w = next(w for w in range(inst.n_workers) if not math.isinf(state.eff[0][w]))
             set_assignment(state, 0, w)
             assert _node_bound(state, math.inf) >= state.loads[w]
         assert ascents == []
@@ -389,7 +389,7 @@ class TestNodeBound:
                 w0 = next(w for w in range(inst.n_workers) if inst.times[t0][w] != INFEASIBLE)
                 set_assignment(state, t0, w0)
                 apply_reduction_rules(state, t0, w0, gub=60)
-            p = [int(x) for x in state.eff.min(axis=1)]
+            p = [int(min(row)) for row in state.eff]
             m = inst.n_workers
             before = max(max(state.loads), max(p), -(-sum(p) // m), bounds._lc2(sorted(p, reverse=True), m))
             full = max(before, bounds._lc3(inst, p, max(p), max(max(p), sum(p))))
@@ -514,6 +514,24 @@ class TestBranchAndBound:
             result = branch_and_bound(inst)
             assert result.value == oracle
             assert result.root_bounds.best <= oracle
+
+    def test_results_pinned_beyond_12x3(self):
+        # (seed, tasks, workers) -> (value, nodes, status) at the default
+        # config; node counts change whenever the search does, so a change
+        # that means to keep the search as it is must keep these
+        pins = {
+            (11002, 16, 4): (13, 81, OPTIMAL),
+            (11003, 18, 4): (21, 194, OPTIMAL),
+            (11004, 20, 4): (21, 243, OPTIMAL),
+            (11005, 20, 5): (14, 480, OPTIMAL),
+            (11006, 22, 4): (16, 243, OPTIMAL),
+            (11007, 24, 5): (17, 328, OPTIMAL),
+            (11009, 28, 5): (10, 2432, OPTIMAL),
+            (11010, 28, 4): (33, 64, OPTIMAL),
+        }
+        for (seed, n, m), expected in pins.items():
+            result = branch_and_bound(random_instance(seed, n, m))
+            assert (result.value, result.nodes, result.status) == expected, seed
 
 
 class TestBruteForce:

@@ -17,6 +17,7 @@ from alwabp import (
     station_windows,
 )
 from alwabp.bounds import ALL_BOUNDS, DEFAULT_L1_ITERS, DEFAULT_L2_ITERS, NATIVE_BOUNDS
+from alwabp.instance import iter_bits
 from conftest import count_calls, rcmax_optimal, random_instance, scale_instance
 
 
@@ -81,10 +82,10 @@ class TestStationWindows:
 
 def reference_windows(inst, p, c):
     """Station windows at cycle time c from star sums taken over the
-    preds_star and succs_star sets, task by task."""
+    pred_star and succ_star masks, task by task."""
     m = inst.n_workers
-    pred = [sum(p[j] for j in inst.preds_star[t]) for t in range(inst.n_tasks)]
-    succ = [sum(p[j] for j in inst.succs_star[t]) for t in range(inst.n_tasks)]
+    pred = [sum(p[j] for j in iter_bits(inst.pred_star[t])) for t in range(inst.n_tasks)]
+    succ = [sum(p[j] for j in iter_bits(inst.succ_star[t])) for t in range(inst.n_tasks)]
     earliest = [math.ceil((pred[t] + p[t]) / c) for t in range(inst.n_tasks)]
     latest = [m + 1 - math.ceil((succ[t] + p[t]) / c) for t in range(inst.n_tasks)]
     return earliest, latest

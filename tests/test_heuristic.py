@@ -23,7 +23,6 @@ from alwabp import (
     initial_upper_bound,
     ipbs,
     local_search,
-    max_pw_priority,
     set_assignment,
     validate_solution,
 )
@@ -35,13 +34,13 @@ from conftest import count_calls, random_instance, scale_instance
 
 class TestMaxPw:
     def test_fig1_first_task(self, fig1):
-        assert max_pw_priority(fig1, 0) == 15
+        assert fig1.beam_tables.pw[0] == 15
 
     def test_fig1_leaf_task(self, fig1):
-        assert max_pw_priority(fig1, 3) == 1
+        assert fig1.beam_tables.pw[3] == 1
 
     def test_single(self, single):
-        assert max_pw_priority(single, 0) == 7
+        assert single.beam_tables.pw[0] == 7
 
 
 class TestMinRlb:
@@ -230,7 +229,7 @@ class TestStrengthen:
         state = SearchState(inst)
         set_assignment(state, 0, 0)
         assert not apply_reduction_rules(state, 0, 0, gub=math.inf)
-        assert math.isinf(state.eff[2, 0])
+        assert math.isinf(state.eff[2][0])
 
     def test_score_unchanged_on_forward_built_states(self):
         # on states built station by station in precedence order, the
@@ -252,7 +251,7 @@ class TestStrengthen:
                     t = int(t)
                     if (assigned_mask >> t) & 1 or inst.times[t][w] == INFEASIBLE:
                         continue
-                    if all((assigned_mask >> p) & 1 for p in inst.preds_star[t]):
+                    if all((assigned_mask >> p) & 1 for p in iter_bits(inst.pred_star[t])):
                         assigned_mask |= 1 << t
                         if not dead:
                             set_assignment(state, t, w)
@@ -266,8 +265,8 @@ class TestStrengthen:
             unassigned = [t for t in range(inst.n_tasks) if not (assigned_mask >> t) & 1]
             workers = list(iter_bits(workers_mask))
             if unassigned and workers:
-                mins = state.eff[np.ix_(unassigned, workers)].min(axis=1)
-                expected = None if np.isinf(mins).any() else int(mins.sum())
+                mins = [min(state.eff[t][w] for w in workers) for t in unassigned]
+                expected = None if any(math.isinf(x) for x in mins) else int(sum(mins))
                 assert score == expected, f"seed {seed}"
 
 

@@ -178,18 +178,20 @@ class TestAdjacency:
             random_instance(9500 + k, 15 + 10 * k, 4) for k in range(6)
         ] + [scale_instance()]
 
-    def test_sets_iterate_as_per_task_scans(self):
-        # the reduction rules iterate these sets, so their order matters too
+    def test_masks_match_per_task_scans(self):
         for inst in self.cases():
-            for t in range(inst.n_tasks):
+            n = inst.n_tasks
+            for t in range(n):
                 for got, pairs, side in (
-                    (inst.preds[t], inst.edges, 1),
-                    (inst.succs[t], inst.edges, 0),
-                    (inst.preds_star[t], inst.closure, 1),
-                    (inst.succs_star[t], inst.closure, 0),
+                    (inst.pred_mask[t], inst.edges, 1),
+                    (inst.succ_mask[t], inst.edges, 0),
+                    (inst.pred_star[t], inst.closure, 1),
+                    (inst.succ_star[t], inst.closure, 0),
                 ):
-                    scan = frozenset(pair[1 - side] for pair in pairs if pair[side] == t)
-                    assert list(got) == list(scan)
+                    assert got == sum(1 << pair[1 - side] for pair in pairs if pair[side] == t)
+            for a in range(n):
+                for b in range(n):
+                    assert (inst.pred_star[b] >> a) & 1 == (inst.succ_star[a] >> b) & 1
 
     def test_reach_matrix_is_reflexive_closure(self):
         for inst in self.cases():
@@ -280,3 +282,10 @@ class TestInstanceValidation:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Instance([[0, 2]], set())
+
+    def test_rejects_bool_durations(self):
+        # True is an int; written as 'True' it would not parse back
+        with pytest.raises(ValueError, match="positive integers"):
+            Instance([[True, 2]], set())
+        with pytest.raises(ValueError, match="base times"):
+            generate_instance([2, True], set(), 2, "low", 0.0, seed=0)
