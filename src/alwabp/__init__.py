@@ -47,12 +47,10 @@ from .bnb import (
     SearchState,
     WorkerOrderGraph,
     apply_reduction_rules,
-    assignment_is_valid,
     branch_and_bound,
     brute_force_optimal,
     select_branch_task,
     set_assignment,
-    unset_assignment,
 )
 from .export import (
     M2,

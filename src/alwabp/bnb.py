@@ -4,12 +4,9 @@ The search assigns one task per level to every worker that keeps the worker
 order graph acyclic, applies reduction rules that pin, exclude and prune
 task-worker cells, and bounds each node on the reduced time matrix. The
 worker order graph is kept transitively closed as one bitmask row per
-worker, and the reduced time matrix as one Python list per task. Undo is
-frame-based: every mutation between a set_assignment and the matching
-unset_assignment is recorded (for the graph, the old value of each row an
-assignment changed; for the matrix, the (task, worker) cell, which only
-ever goes from the instance's time to INFEASIBLE) and reverted in reverse
-order.
+worker, and the reduced time matrix as one Python list per task. Every
+node owns its state: a child starts as a copy of its parent, so nothing is
+ever undone.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import bounds as lb
 from .heuristic import IpbsParams, ipbs
@@ -54,32 +50,30 @@ class WorkerOrderGraph:
     def has(self, v, w):
         return bool(self.rows[v] >> w & 1)
 
+    def copy(self):
+        graph = WorkerOrderGraph(self.n)
+        graph.rows = list(self.rows)
+        return graph
+
     def link(self, before, w, after):
         """Add the arcs v -> w for the workers v of mask `before` and w -> x
         for the workers x of mask `after` (neither holding w), with their
         transitive consequences: every row that reaches w or a worker of
-        `before` gains w and all w now reaches. Returns the (worker, old row)
-        pairs it changed. The caller must have checked that no cycle
-        results."""
+        `before` gains w and all w now reaches. Returns False, changing
+        nothing, when the arcs would close a cycle, and True otherwise."""
         rows = self.rows
         reach = rows[w] | after
         for x in iter_bits(after):
             reach |= rows[x]
         hit = before | 1 << w
-        assert not reach & hit, "link would create a cycle"
-        changed = [(w, rows[w])] if reach != rows[w] else []
+        if reach & hit:
+            return False
         rows[w] = reach
         reach |= 1 << w
         for v, row in enumerate(rows):
-            if (row & hit or before >> v & 1) and row | reach != row:
-                changed.append((v, row))
+            if row & hit or before >> v & 1:
                 rows[v] = row | reach
-        return changed
-
-    def restore(self, changed):
-        """Undo the links that returned `changed` (concatenated in order)."""
-        for v, row in reversed(changed):
-            self.rows[v] = row
+        return True
 
     def topological_order(self):
         """All workers in an arc-respecting order, lowest index first."""
@@ -87,7 +81,7 @@ class WorkerOrderGraph:
 
 
 class SearchState:
-    """Mutable search node state with a frame stack for exact backtracking."""
+    """The state of one search node; a child node starts as a copy."""
 
     def __init__(self, inst):
         self.inst = inst
@@ -96,9 +90,16 @@ class SearchState:
         self.on_worker = [0] * inst.n_workers  # bitmask of the tasks assigned to each worker
         self.loads = [0] * inst.n_workers
         self.order_graph = WorkerOrderGraph(inst.n_workers)
-        # each: (primary task, (worker, old row) pairs of the order graph,
-        # (task, worker) cells marked infeasible, assigned tasks)
-        self.frames = []
+
+    def child(self):
+        node = SearchState.__new__(SearchState)
+        node.inst = self.inst
+        node.eff = [row[:] for row in self.eff]
+        node.assignment = dict(self.assignment)
+        node.on_worker = list(self.on_worker)
+        node.loads = list(self.loads)
+        node.order_graph = self.order_graph.copy()
+        return node
 
     def mark_infeasible(self, t, w):
         """Set a cell infeasible; returns False when task t loses its last
@@ -106,7 +107,6 @@ class SearchState:
         row = self.eff[t]
         if row[w] == INFEASIBLE:
             return True
-        self.frames[-1][2].append((t, w))
         row[w] = INFEASIBLE
         return min(row) != INFEASIBLE
 
@@ -133,64 +133,39 @@ def _neighbour_workers(state, preds, succs):
     return before, after
 
 
-def assignment_is_valid(state, t, w):
-    """True iff pinning task t on worker w adds no arc to the worker order
-    graph whose inverse (possibly through existing arcs) is already present."""
-    inst = state.inst
-    before, after = _neighbour_workers(state, inst.pred_star[t], inst.succ_star[t])
-    other = ~(1 << w)
-    before &= other
-    after &= other
-    rows = state.order_graph.rows
-    if before & after or rows[w] & before:
-        return False
-    hit = before | 1 << w
-    return not any(rows[x] & hit for x in iter_bits(after))
-
-
 def set_assignment(state, t, w):
-    """Assign t to w inside a fresh undo frame and pin it there (rule R1):
-    its other cells become infeasible. Load, order-graph rows, cells and the
-    assignment itself are recorded for exact restoration."""
+    """Assign t to w and pin it there (rule R1): its other cells become
+    infeasible. Returns False, changing nothing, when the assignment would
+    close a cycle in the worker order graph."""
     assert state.eff[t][w] != INFEASIBLE, "assignment to an infeasible cell"
-    state.frames.append((t, [], [], []))
+    if not _assign(state, t, w):
+        return False
     for w2 in range(state.inst.n_workers):
         if w2 != w:
             state.mark_infeasible(t, w2)
-    _assign(state, t, w)
-
-
-def unset_assignment(state, t, w):
-    """Revert every mutation recorded since the matching set_assignment."""
-    primary, rows, cells, assigns = state.frames.pop()
-    assert primary == t and state.assignment.get(t) == w, "unbalanced set/unset of assignments"
-    state.order_graph.restore(rows)
-    times = state.inst.times
-    for task in reversed(assigns):
-        v = state.assignment.pop(task)
-        state.on_worker[v] ^= 1 << task
-        state.loads[v] -= times[task][v]
-    for task, v in reversed(cells):
-        state.eff[task][v] = times[task][v]
+    return True
 
 
 def _assign(state, t, w):
+    """Assign t to w and link its worker into the order graph; returns False,
+    changing nothing, when that would close a cycle."""
     inst = state.inst
-    frame = state.frames[-1]
+    before, after = _neighbour_workers(state, inst.pred_star[t], inst.succ_star[t])
+    other = ~(1 << w)
+    if not state.order_graph.link(before & other, w, after & other):
+        return False
     state.assignment[t] = w
     state.on_worker[w] |= 1 << t
     state.loads[w] += inst.times[t][w]
-    frame[3].append(t)
-    before, after = _neighbour_workers(state, inst.pred_star[t], inst.succ_star[t])
-    other = ~(1 << w)
-    frame[1].extend(state.order_graph.link(before & other, w, after & other))
+    return True
 
 
 def apply_reduction_rules(state, t, w, gub):
     """Fixpoint of the three node reductions after assigning t to w.
 
     R1 pins the task: all its other cells become infeasible (for t,
-    set_assignment has done so, and its marks seed the propagation). R2
+    set_assignment has done so, and t's other cells seed the propagation;
+    a seed an ancestor node has already propagated marks nothing new). R2
     enforces continuity: a task between two tasks of one worker is assigned
     there too, and everything beyond an infeasible intermediate is excluded
     on that worker. R3 excludes a candidate cell whose chain would already
@@ -203,7 +178,7 @@ def apply_reduction_rules(state, t, w, gub):
     asg = state.assignment
     succ_star, pred_star = inst.succ_star, inst.pred_star
     pending_assign = [t]
-    pending_marks = list(state.frames[-1][2])
+    pending_marks = [(t, w2) for w2, p in enumerate(inst.times[t]) if w2 != w and p != INFEASIBLE]
 
     def mark(task, worker):
         if asg.get(task) == worker:
@@ -231,9 +206,8 @@ def apply_reduction_rules(state, t, w, gub):
                         if asg[j] != wa:
                             return True
                         continue
-                    if eff[j][wa] == INFEASIBLE or not assignment_is_valid(state, j, wa):
+                    if eff[j][wa] == INFEASIBLE or not _assign(state, j, wa):
                         return True
-                    _assign(state, j, wa)
                     pending_assign.append(j)
             # infeasible intermediates already present around a
             for star in (succ_star, pred_star):
@@ -357,20 +331,18 @@ class _Search:
     def __init__(self, inst, config, gub, incumbent, deadline):
         self.inst = inst
         self.config = config
-        self.state = SearchState(inst)
         self.gub = gub
         self.incumbent = incumbent
         self.deadline = deadline
         self.nodes = 0
 
     def run(self, root_llb):
-        self.visit(root_llb)
+        self.visit(SearchState(self.inst), root_llb)
 
-    def visit(self, llb):
+    def visit(self, state, llb):
         self.nodes += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _TimeUp
-        state = self.state
         inst = self.inst
         if len(state.assignment) == inst.n_tasks:
             value = max(state.loads)
@@ -380,22 +352,20 @@ class _Search:
                 assignment = [state.assignment[t] for t in range(inst.n_tasks)]
                 self.incumbent = Solution(order, assignment, value)
             return
+        # pairs holds every worker the task can go to below the incumbent
+        # without an immediate cycle; set_assignment rejects the rest
         t, pairs = select_branch_task(state, self.gub)
-        # a valid assignment never closes an immediate cycle, so this keeps
-        # every worker the task can go to below the incumbent
-        candidates = sorted((after, w) for after, w in pairs if assignment_is_valid(state, t, w))
-        for after, w in candidates:
+        for after, w in sorted(pairs):
             if after >= self.gub:  # the incumbent may have improved mid-loop
                 continue
-            set_assignment(state, t, w)
-            dead = False
-            if self.config.reduction_rules:
-                dead = apply_reduction_rules(state, t, w, self.gub)
-            if not dead:
-                new_llb = max(llb, _node_bound(state, self.gub))
-                if new_llb < self.gub:
-                    self.visit(new_llb)
-            unset_assignment(state, t, w)
+            child = state.child()
+            if not set_assignment(child, t, w):
+                continue
+            if self.config.reduction_rules and apply_reduction_rules(child, t, w, self.gub):
+                continue
+            new_llb = max(llb, _node_bound(child, self.gub))
+            if new_llb < self.gub:
+                self.visit(child, new_llb)
 
 
 def branch_and_bound(inst, config=None):
@@ -438,7 +408,6 @@ def branch_and_bound(inst, config=None):
     return BnbResult(search.incumbent, value, status, search.nodes, time.monotonic() - t0, root_report)
 
 
-@lru_cache(maxsize=None)
 def _digraph_is_acyclic(mask, m):
     succ = [[w for w in range(m) if v != w and (mask >> (v * m + w)) & 1] for v in range(m)]
     try:
@@ -456,6 +425,7 @@ def brute_force_optimal(inst):
     if leaves > ORACLE_LEAF_LIMIT:
         raise EnumerationLimitError(f"{leaves} leaf combinations exceed the enumeration guard")
     closure = sorted(inst.closure)
+    acyclic = {}  # worker digraph mask -> acyclic?, for this call only
     best = INFEASIBLE
     for combo in itertools.product(*inst.feasible_workers):
         mask = 0
@@ -463,7 +433,10 @@ def brute_force_optimal(inst):
             va, vb = combo[a], combo[b]
             if va != vb:
                 mask |= 1 << (va * m + vb)
-        if not _digraph_is_acyclic(mask, m):
+        ok = acyclic.get(mask)
+        if ok is None:
+            ok = acyclic[mask] = _digraph_is_acyclic(mask, m)
+        if not ok:
             continue
         loads = [0] * m
         for t, w in enumerate(combo):

@@ -126,6 +126,8 @@ def _read_instance(path):
             text = fh.read()
     except OSError as exc:
         raise AlwabpError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise AlwabpError(f"cannot read {path}: non-ASCII byte at offset {exc.start}") from None
     return parse_instance(text)
 
 

@@ -325,6 +325,14 @@ def reverse_instance(inst):
     return Instance(inst.times, {(b, a) for a, b in inst.edges})
 
 
+def _parse_int(tok):
+    """int(tok) for an optional '-' and ASCII digits only. int() alone also
+    takes '+1', '1_0' and digits of other scripts; it rejects '--1' itself."""
+    if tok.isascii() and tok.lstrip("-").isdigit():
+        return int(tok)
+    raise ValueError(tok)
+
+
 def parse_instance(text):
     """Parse the canonical line-oriented format into a validated Instance.
 
@@ -352,7 +360,7 @@ def parse_instance(text):
         if len(tokens) != 2 or tokens[0] != key:
             raise ParseError(f"expected '{key} <n>'", lineno)
         try:
-            value = int(tokens[1])
+            value = _parse_int(tokens[1])
         except ValueError:
             raise ParseError(f"expected integer after '{key}'", lineno) from None
         return lineno, value
@@ -381,7 +389,7 @@ def parse_instance(text):
                 row.append(INFEASIBLE)
                 continue
             try:
-                p = int(tok)
+                p = _parse_int(tok)
             except ValueError:
                 raise ParseError(f"bad duration {tok!r}", lineno) from None
             if p < 1:
@@ -403,7 +411,7 @@ def parse_instance(text):
         if len(tokens) != 2:
             raise ParseError("expected edge 'a b' or 'end'", lineno)
         try:
-            a, b = int(tokens[0]), int(tokens[1])
+            a, b = _parse_int(tokens[0]), _parse_int(tokens[1])
         except ValueError:
             raise ParseError("edge endpoints must be integers", lineno) from None
         if not (1 <= a <= n_tasks and 1 <= b <= n_tasks):

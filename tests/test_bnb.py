@@ -13,7 +13,6 @@ from alwabp import (
     SearchState,
     WorkerOrderGraph,
     apply_reduction_rules,
-    assignment_is_valid,
     branch_and_bound,
     brute_force_optimal,
     check_solution_against_model,
@@ -21,7 +20,6 @@ from alwabp import (
     select_branch_task,
     set_assignment,
     transitive_closure,
-    unset_assignment,
     validate_solution,
     write_instance,
 )
@@ -42,32 +40,23 @@ def bits(workers):
 class TestWorkerOrderGraph:
     def test_link_keeps_closure(self):
         h = WorkerOrderGraph(4)
-        h.link(bits([0]), 1, 0)
-        h.link(0, 1, bits([2]))
+        assert h.link(bits([0]), 1, 0)
+        assert h.link(0, 1, bits([2]))
         assert h.has(0, 2)
-        changed = h.link(bits([2]), 3, 0)
+        assert h.link(bits([2]), 3, 0)
         assert h.has(0, 3) and h.has(1, 3)
-        assert sorted(v for v, _ in changed) == [0, 1, 2]
         assert h.rows == [bits([1, 2, 3]), bits([2, 3]), bits([3]), 0]
 
-    def test_restore_undoes_nested_links(self):
-        h = WorkerOrderGraph(5)
-        first = h.link(bits([0]), 1, 0)
-        rows_first = list(h.rows)
-        second = h.link(bits([1]), 2, bits([3]))
-        rows_second = list(h.rows)
-        third = h.link(bits([4]), 0, 0)
-        assert graph_arcs(h) == transitive_closure({(0, 1), (1, 2), (2, 3), (4, 0)}, 5)
-        h.restore(third)
-        assert h.rows == rows_second
-        h.restore(second)
-        assert h.rows == rows_first
-        h.restore(first)
-        assert h.rows == [0] * 5
-        # a frame holds the links of several assignments in one list
-        frame = h.link(bits([0]), 1, 0) + h.link(bits([1]), 2, bits([3]))
-        h.restore(frame)
-        assert h.rows == [0] * 5
+    def test_cycle_link_changes_nothing(self):
+        h = WorkerOrderGraph(4)
+        h.link(bits([0]), 1, bits([2]))
+        rows = list(h.rows)
+        # each term of the cycle test: w already reaches a worker of before,
+        # before and after share a worker, a worker of after reaches w
+        assert not h.link(bits([1]), 0, 0)
+        assert not h.link(bits([3]), 1, bits([3]))
+        assert not h.link(0, 2, bits([0]))
+        assert h.rows == rows
 
     def test_topological_order_prefers_low_index(self):
         h = WorkerOrderGraph(4)
@@ -76,51 +65,54 @@ class TestWorkerOrderGraph:
 
     def test_random_links_match_closure(self):
         rng = random.Random(7)
+        refused = 0
         for _ in range(200):
             m = rng.randint(1, 7)
             station = list(range(m))
             rng.shuffle(station)  # every linked arc goes forward in this order
             h = WorkerOrderGraph(m)
             linked = set()
-            history = []
             for _ in range(rng.randint(1, 6)):
                 w = rng.randrange(m)
                 before = bits(v for v in range(m) if station[v] < station[w] and rng.random() < 0.3)
                 after = bits(x for x in range(m) if station[x] > station[w] and rng.random() < 0.3)
-                rows = list(h.rows)
-                changed = h.link(before, w, after)
-                assert all(rows[v] == old != h.rows[v] for v, old in changed)
-                assert {v for v, _ in changed} == {v for v in range(m) if rows[v] != h.rows[v]}
-                history.append((rows, changed))
+                assert h.link(before, w, after)
                 linked |= {(v, w) for v in range(m) if before >> v & 1}
                 linked |= {(w, x) for x in range(m) if after >> x & 1}
                 assert graph_arcs(h) == transitive_closure(linked, m)
                 order = h.topological_order()
                 assert all(order.index(v) < order.index(w) for v, w in graph_arcs(h))
-            for rows, changed in reversed(history):
-                h.restore(changed)
-                assert h.rows == rows
+                # a backward arc closes a cycle whenever its ends are linked
+                v, x = rng.randrange(m), rng.randrange(m)
+                if v != x and h.has(v, x):
+                    rows = list(h.rows)
+                    assert not h.link(bits([x]), v, 0)
+                    assert h.rows == rows
+                    refused += 1
+        assert refused
 
 
 class TestAssignmentValidity:
     def test_empty_graph_accepts(self, fig1):
         state = SearchState(fig1)
-        assert assignment_is_valid(state, 0, 2)
+        assert set_assignment(state.child(), 0, 2)
 
     def test_cross_worker_cycle_rejected(self, fig1):
         state = SearchState(fig1)
-        set_assignment(state, 0, 0)  # t1 on w1
-        assert assignment_is_valid(state, 1, 1)  # t2 on w2 is fine
-        set_assignment(state, 1, 1)
+        assert set_assignment(state, 0, 0)  # t1 on w1
+        assert set_assignment(state.child(), 1, 1)  # t2 on w2 is fine
+        assert set_assignment(state, 1, 1)
         assert state.order_graph.has(0, 1)
         # t5 follows t2 (on w2), so w1 would need to come after w2 too
-        assert not assignment_is_valid(state, 4, 0)
+        child = state.child()
+        assert not set_assignment(child, 4, 0)
+        assert child.fingerprint() == state.fingerprint()
 
     def test_opposite_direction_allowed(self, fig1):
         state = SearchState(fig1)
         set_assignment(state, 0, 0)
         set_assignment(state, 1, 1)
-        assert assignment_is_valid(state, 4, 1)
+        assert set_assignment(state.child(), 4, 1)
 
     def test_matches_acyclicity_reference(self):
         # the arcs an assignment adds, checked for a cycle from scratch
@@ -139,7 +131,7 @@ class TestAssignmentValidity:
             for t in range(inst.n_tasks):
                 if t not in state.assignment:
                     for w in range(inst.n_workers):
-                        valid = assignment_is_valid(state, t, w)
+                        valid = set_assignment(state.child(), t, w)
                         assert valid == reference_valid(state, t, w)
                         outcomes.add(valid)
         assert outcomes == {True, False}
@@ -164,24 +156,28 @@ def reference_valid(state, t, w):
 
 
 class TestSetUnset:
+    """A node never undoes: each child works on its own copy, and its
+    parent's state stays as it was."""
+
     def test_fingerprint_roundtrip(self, fig1):
         state = SearchState(fig1)
         before = state.fingerprint()
-        set_assignment(state, 0, 2)
-        apply_reduction_rules(state, 0, 2, gub=7)
-        assert state.fingerprint() != before
-        unset_assignment(state, 0, 2)
+        child = state.child()
+        assert child.fingerprint() == before
+        set_assignment(child, 0, 2)
+        assert not apply_reduction_rules(child, 0, 2, gub=7)
+        assert child.fingerprint() != before
         assert state.fingerprint() == before
 
     def test_assignment_pins_its_row(self, fig1):
         # R1 without the reduction rules: t2 on w2 leaves t2 no other cell
         state = SearchState(fig1)
         before = state.fingerprint()
-        set_assignment(state, 1, 1)
-        assert math.isinf(state.eff[1][0]) and math.isinf(state.eff[1][2])
-        assert state.eff[1][1] == 5
-        assert min(state.eff[1]) == 5
-        unset_assignment(state, 1, 1)
+        child = state.child()
+        set_assignment(child, 1, 1)
+        assert math.isinf(child.eff[1][0]) and math.isinf(child.eff[1][2])
+        assert child.eff[1][1] == 5
+        assert min(child.eff[1]) == 5
         assert state.fingerprint() == before
         assert list(state.eff[1]) == [4, 5, 4]
 
@@ -211,12 +207,14 @@ class TestSetUnset:
     def test_nested_frames(self, fig1):
         state = SearchState(fig1)
         base = state.fingerprint()
-        set_assignment(state, 0, 2)
-        mid = state.fingerprint()
-        set_assignment(state, 1, 0)
-        unset_assignment(state, 1, 0)
-        assert state.fingerprint() == mid
-        unset_assignment(state, 0, 2)
+        child = state.child()
+        set_assignment(child, 0, 2)
+        mid = child.fingerprint()
+        grandchild = child.child()
+        set_assignment(grandchild, 1, 0)
+        apply_reduction_rules(grandchild, 1, 0, gub=7)
+        assert grandchild.fingerprint() != mid
+        assert child.fingerprint() == mid
         assert state.fingerprint() == base
 
 
@@ -270,12 +268,22 @@ class TestReductionRules:
         assert state.assignment[2] == 0  # t3 sits between t1 and t4
 
     def test_rules_undo_cleanly(self, fig1):
+        # every child, alive or dead (given up half-way through its rules),
+        # leaves its parent as it was
         state = SearchState(fig1)
-        before = state.fingerprint()
         set_assignment(state, 0, 0)
-        apply_reduction_rules(state, 0, 0, gub=7)
-        unset_assignment(state, 0, 0)
-        assert state.fingerprint() == before
+        assert not apply_reduction_rules(state, 0, 0, gub=7)
+        before = state.fingerprint()
+        dead = 0
+        for t in range(fig1.n_tasks):
+            for w in range(fig1.n_workers):
+                if t in state.assignment or math.isinf(state.eff[t][w]):
+                    continue
+                child = state.child()
+                if set_assignment(child, t, w):
+                    dead += apply_reduction_rules(child, t, w, gub=7)
+                assert state.fingerprint() == before
+        assert dead
 
 
 def reference_branch_choice(state, gub):
@@ -556,3 +564,13 @@ class TestBruteForce:
         big = Instance([list(row) * 4 for row in inst.times] * 5, set())
         with pytest.raises(EnumerationLimitError):
             brute_force_optimal(big)
+
+    def test_acyclicity_memo_lives_one_call(self, monkeypatch):
+        # a call tests each worker digraph once, whatever earlier calls saw
+        calls = count_calls(monkeypatch, bnb, "_digraph_is_acyclic")
+        inst = random_instance(3, n_tasks=7, n_workers=3)
+        brute_force_optimal(inst)
+        first = len(calls)
+        assert 0 < first < math.prod(len(ws) for ws in inst.feasible_workers)
+        brute_force_optimal(inst)
+        assert len(calls) == 2 * first

@@ -110,11 +110,11 @@ GOLDEN_SOLVES = [
 ]
 
 
-def assert_matches_golden(path, argv, kind, monkeypatch):
+def assert_matches_golden(path, argv, kind, monkeypatch, variant=""):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.chdir(root)
     name = os.path.basename(path).rsplit(".", 1)[0]
-    with open(os.path.join("tests", "golden", f"{name}.{kind}.json"), encoding="ascii") as fh:
+    with open(os.path.join("tests", "golden", f"{name}.{kind}{variant}.json"), encoding="ascii") as fh:
         golden = fh.read()
     code, text = run([kind, path, *argv, "--no-timings", "--json"])
     assert code == EXIT_OK
@@ -124,12 +124,21 @@ def assert_matches_golden(path, argv, kind, monkeypatch):
 class TestGoldenSolve:
     """Committed `solve --seed 42 --no-timings --json` reports, made from the
     repository root with `alwabp solve PATH --seed 42 --no-timings --json`
-    into tests/golden/<name>.solve.json. A change to node counts, bounds or
-    the solution found shows up here as a diff to explain."""
+    into tests/golden/<name>.solve.json. The 12x3 instances also have
+    reports with --no-reduction-rules and with --no-heuristic added, in
+    <name>.solve-no-reduction-rules.json and <name>.solve-no-heuristic.json:
+    the search with no rules, and from no incumbent. A change to node
+    counts, bounds or the solution found shows up here as a diff to
+    explain."""
 
     @pytest.mark.parametrize("path", GOLDEN_SOLVES)
     def test_report_matches_golden(self, path, monkeypatch):
         assert_matches_golden(path, ["--seed", "42"], "solve", monkeypatch)
+
+    @pytest.mark.parametrize("flag", ["--no-reduction-rules", "--no-heuristic"])
+    @pytest.mark.parametrize("path", GOLDEN_SOLVES[1:])
+    def test_search_path_matches_golden(self, path, flag, monkeypatch):
+        assert_matches_golden(path, ["--seed", "42", flag], "solve", monkeypatch, "-" + flag[2:])
 
 
 GOLDEN_HEURS = [
@@ -250,6 +259,15 @@ class TestErrors:
         path.write_text("alwabp 2\n")
         assert main(["bounds", str(path)]) == EXIT_ERROR
         assert "alwabp 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["# station \u00e9\n", "tasks \u0666\n"])
+    def test_non_ascii_byte_is_an_input_error(self, tmp_path, capsys, line):
+        path = tmp_path / "utf8.alwabp"
+        path.write_bytes((line + FIG1_TEXT).encode("utf-8"))
+        assert main(["bounds", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("alwabp: cannot read") and "non-ASCII byte at offset" in err
+        assert err.count("\n") == 1
 
     def test_missing_instance_argument(self):
         assert main(["bounds"]) == EXIT_ERROR

@@ -81,6 +81,34 @@ class TestParse:
         with pytest.raises(ParseError, match="unexpected end of input"):
             parse_instance("alwabp 1\ntasks 2\nworkers 1\ntimes\n3\n")
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("tasks 6", "tasks 0_6", "expected integer after 'tasks'"),
+            ("workers 3", "workers +3", "expected integer after 'workers'"),
+            ("tasks 6", "tasks \u0666", "expected integer after 'tasks'"),
+            ("4 5 4", "4 1_0 4", "bad duration '1_0'"),
+            ("4 5 4", "4 \u0662 4", "bad duration '\u0662'"),
+            ("4 5 4", "4 +5 4", "bad duration '\\+5'"),
+            ("1 2\n", "1 \uff12\n", "edge endpoints must be integers"),
+        ],
+    )
+    def test_only_ascii_decimal_integers(self, old, new, message):
+        # int() takes each of these; the format has an optional '-' and
+        # ASCII digits only
+        text = FIG1_TEXT.replace(old, new, 1)
+        assert text != FIG1_TEXT
+        with pytest.raises(ParseError, match=message):
+            parse_instance(text)
+
+    def test_negative_integers_keep_their_messages(self):
+        with pytest.raises(ParseError, match="duration must be positive, got -5"):
+            parse_instance(FIG1_TEXT.replace("4 5 4", "4 -5 4"))
+        with pytest.raises(ParseError, match="need at least one task"):
+            parse_instance(FIG1_TEXT.replace("tasks 6", "tasks -1"))
+        with pytest.raises(ParseError, match=r"edge \(-1,2\) out of range"):
+            parse_instance(FIG1_TEXT.replace("precedences\n1 2\n", "precedences\n-1 2\n"))
+
     def test_comments_and_blank_lines(self):
         text = "# header comment\n" + FIG1_TEXT.replace("times\n", "times   # matrix follows\n\n")
         inst = parse_instance(text)
