@@ -7,10 +7,19 @@ minimization on unrelated parallel machines, bounded by a Lagrangian dual
 of the cycle constraints (L1), its knapsack-based additive improvement
 (L1a), a Lagrangian dual of the assignment constraints (L2), and a
 disjunctive strengthening of either (L1a_bar, L2_bar).
+
+None of the second family can exceed the makespan U of any schedule that
+ignores precedence. One `all_bounds` call keeps the best such U it knows
+(_UpperBound): the descent schedule S to start with, lowered by the
+schedules the bounds build anyway (L2's knapsack packings, repaired, and
+each ascent iteration's cheapest-machine assignment). A bound that reaches
+U has its final value, so L2's iterations and the ascent stop there, and
+L1a needs no knapsack once L1 has reached it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -131,7 +140,7 @@ def _lc3(inst, p, lo, hi):
 # Unrelated-parallel-machines relaxation
 
 
-def _l1_ascent(times, max_iters):
+def _l1_ascent(times, max_iters, upper=None):
     """Maximize the dual value sum_t min_w (lam_w * p_tw) over the simplex.
 
     Projected-subgradient ascent: the gradient component of machine w is the
@@ -139,10 +148,17 @@ def _l1_ascent(times, max_iters):
     recentered so multipliers stay on the simplex, clipped at zero and
     renormalized. Any multiplier vector on the simplex yields a valid bound,
     so the running best is kept.
+
+    Given `upper` (an _UpperBound), the tasks' cheapest machines of each
+    iteration form a schedule whose largest load may lower U, and the
+    ascent stops once the L1 of its best value reaches U. L1 <= the
+    relaxation's optimum <= U, so L1 is final then, and so is L1a, which
+    lies between the two: the multipliers it would read are not needed.
     """
     n_tasks, m = times.shape
     finite = np.isfinite(times)
     filled = np.where(finite, times, 0.0)
+    p_min_max = int(times.min(axis=1).max())
     lam = np.full(m, 1.0 / m)
     best_val = -math.inf
     best_lam = lam.copy()
@@ -155,7 +171,12 @@ def _l1_ascent(times, max_iters):
         if value > best_val:
             best_val = value
             best_lam = lam.copy()
+            l1 = _l1_of(best_val, p_min_max)
         loads = np.bincount(choice, weights=filled[rows, choice], minlength=m)
+        if upper is not None:
+            upper.lower(max(loads.tolist()))
+            if l1 >= upper.value:
+                break
         direction = loads - np.add.reduce(loads) / m
         norm = np.abs(direction).max()
         if norm < 1e-12:
@@ -166,15 +187,22 @@ def _l1_ascent(times, max_iters):
     return best_val, best_lam
 
 
-def _l1_chain(times, max_iters):
+def _l1_of(dual_value, p_min_max):
+    """L1 from a dual value: rounded up, and at least the largest task's
+    smallest time."""
+    return max(math.ceil(dual_value - 1e-9), p_min_max)
+
+
+def _l1_chain(times, max_iters, upper=None):
     """Yield L1, L1a and L1a_bar of one matrix in turn, all from a single
     ascent. Each value is computed only when it is requested, so taking
-    just L1 runs no knapsack."""
-    best_val, lam = _l1_ascent(times, max_iters)
-    p_min_max = int(times.min(axis=1).max())
-    l1 = max(math.ceil(best_val - 1e-9), p_min_max)
+    just L1 runs no knapsack, and neither does L1a once L1 reaches U."""
+    if upper is None:
+        upper = _UpperBound(times)
+    best_val, lam = _l1_ascent(times, max_iters, upper)
+    l1 = _l1_of(best_val, int(times.min(axis=1).max()))
     yield l1
-    l1a = _l1_additive(times, l1, lam)
+    l1a = l1 if l1 >= upper.value else _l1_additive(times, l1, lam)
     yield l1a
     yield _disjunction_value(times, l1a)
 
@@ -333,18 +361,23 @@ def _disjunction_value(times, base):
 
 
 def _precedence_free_makespan(times):
-    """Makespan S of a schedule that ignores precedence. Every task starts
-    on its cheapest machine, whose largest load is U; then, while a task on
-    a most-loaded machine can move to another machine and end that
-    machine's load below the makespan, the move with the smallest larger
-    of the two new loads is made. Each move lowers the makespan or the
-    number of machines at it, so the loop ends, and S <= U."""
+    """Makespan S of a schedule that ignores precedence: every task on its
+    cheapest machine, then the move descent of _descend."""
     rows = times.tolist()
-    m = len(rows[0])
     where = [row.index(min(row)) for row in rows]
-    loads = [0.0] * m
+    loads = [0.0] * len(rows[0])
     for row, w in zip(rows, where):
         loads[w] += row[w]
+    return _descend(rows, where, loads)
+
+
+def _descend(rows, where, loads):
+    """Improve the schedule that puts task t on machine where[t], with the
+    given machine loads, in place, and return its makespan. While a task on
+    a most-loaded machine can move to another machine and end that
+    machine's load below the makespan, the move with the smallest larger of
+    the two new loads is made. Each move lowers the makespan or the number
+    of machines at it, so the loop ends."""
     while True:
         peak = max(loads)
         top = loads.index(peak)
@@ -365,6 +398,42 @@ def _precedence_free_makespan(times):
         where[t] = w
 
 
+def _repair(rows, packs):
+    """Makespan of a schedule made from L2's knapsack packings, where
+    packs[t] lists the machines that pack task t. A packed task goes to the
+    cheapest machine that packs it; then each unpacked task, in task order,
+    to the machine where its load ends lowest; then _descend."""
+    where = [min(machines, key=row.__getitem__) if machines else None for row, machines in zip(rows, packs)]
+    loads = [0.0] * len(rows[0])
+    for row, w in zip(rows, where):
+        if w is not None:
+            loads[w] += row[w]
+    for t, row in enumerate(rows):
+        if where[t] is None:
+            ends = [load + p for load, p in zip(loads, row)]
+            w = where[t] = ends.index(min(ends))
+            loads[w] = ends[w]
+    return _descend(rows, where, loads)
+
+
+class _UpperBound:
+    """U, the smallest makespan of a schedule that ignores precedence known
+    so far: S (_precedence_free_makespan) until a schedule built by a bound
+    lowers it. Every bound of the unrelated-machines relaxation is at most
+    that relaxation's optimum, so none exceeds U."""
+
+    def __init__(self, times):
+        self.times = times
+
+    @functools.cached_property
+    def value(self):
+        return _precedence_free_makespan(self.times)
+
+    def lower(self, makespan):
+        if makespan < self.value:
+            self.value = int(makespan)
+
+
 def _l2_tables(times, capacity):
     """Knapsack plan, traceback table and trace order of L2 at one width:
     each task is one step, an item on every machine it fits."""
@@ -381,8 +450,8 @@ def _l2_tables(times, capacity):
 
 def _l2_cover(tables, mu_plus, target):
     """Smallest capacity c* whose knapsacks reach `target` (the table width
-    if none does), and how often each task is packed by the best subsets at
-    c*."""
+    if none does), and for each task the machines whose best subsets at c*
+    pack it."""
     plan, took, trace = tables
     best = _knapsack(plan, mu_plus[:, None], took)
     g = np.zeros(plan.width)
@@ -391,18 +460,18 @@ def _l2_cover(tables, mu_plus, target):
     reached = np.flatnonzero(g >= target - 1e-9)
     c_star = int(reached[0]) if reached.size else plan.width
     bits = took.tobytes()
-    coverage = [0] * len(mu_plus)
-    for items in trace:
+    packs = [[] for _ in mu_plus]
+    for w, items in enumerate(trace):
         # trace back the subset behind the best profit at c_star
         c = min(c_star, plan.width - 1)
         for offset, weight, t in items:
             if bits[offset + c]:
-                coverage[t] += 1
+                packs[t].append(w)
                 c -= weight
-    return c_star, np.array(coverage, dtype=float)
+    return c_star, packs
 
 
-def _l2_value(times, max_iters):
+def _l2_value(times, max_iters, upper=None):
     """Lagrangian bound from relaxing the task assignment constraints.
 
     For multipliers mu, a makespan-c schedule packs, per machine, tasks of
@@ -420,37 +489,46 @@ def _l2_value(times, max_iters):
     O(n * m * sum p). Should rounding keep the sum below the target at S,
     that iteration is redone at full width.
 
-    For the same reason no c* exceeds S, so once the best bound reaches S
-    after an iteration that needed no full-width redo, the remaining
-    iterations cannot raise it and are skipped.
+    For the same reason no c* exceeds U, the makespan of the best
+    precedence-free schedule known (`upper`, an _UpperBound starting at S).
+    Each iteration's packings are repaired into a schedule (_repair) that
+    may lower U, and once the best bound reaches U after an iteration that
+    needed no full-width redo, the remaining iterations cannot raise it and
+    are skipped.
     """
+    if upper is None:
+        upper = _UpperBound(times)
     mu = times.min(axis=1)
     step0 = max(1.0, float(mu.mean()) / 2.0)
     best = 1
 
-    cap = _precedence_free_makespan(times)
+    cap = upper.value
     capped = _l2_tables(times, cap)
     full = None
+    rows = times.tolist()
     for it in range(1, max_iters + 1):
         mu_plus = np.clip(mu, 0.0, None)
         target = float(mu.sum())
-        c_star, coverage = _l2_cover(capped, mu_plus, target)
+        c_star, packs = _l2_cover(capped, mu_plus, target)
         redone = c_star > cap
         if redone:
             if full is None:
                 loads = np.where(np.isfinite(times), times, 0.0).sum(axis=0)
                 full = _l2_tables(times, max(int(loads.max()), 1))
-            c_star, coverage = _l2_cover(full, mu_plus, target)
+            c_star, packs = _l2_cover(full, mu_plus, target)
         best = max(best, c_star)
-        if best >= cap and not redone:
+        if best < upper.value:
+            upper.lower(_repair(rows, packs))
+        if best >= upper.value and not redone:
             break
+        coverage = np.fromiter(map(len, packs), float, len(packs))
         mu = mu + (step0 / it) * (1.0 - coverage)
     return best
 
 
-def _l2_chain(times, max_iters):
+def _l2_chain(times, max_iters, upper=None):
     """Yield L2, then L2_bar strengthened from it."""
-    l2 = _l2_value(times, max_iters)
+    l2 = _l2_value(times, max_iters, upper)
     yield l2
     yield _disjunction_value(times, l2)
 
@@ -474,14 +552,34 @@ def all_bounds(inst, include=NATIVE_BOUNDS, l1_iters=DEFAULT_L1_ITERS, l2_iters=
 
     L1, L1a and L1a_bar share one ascent, and L2_bar reuses L2; each shared
     result is computed once, when the first entry that needs it is reached,
-    and nothing that no requested entry needs is computed. An entry's
-    elapsed_s covers only the work done for it, so shared work counts
-    against the first entry that needs it (L2_bar after L2 reads about 0).
+    and nothing that no requested entry needs is computed. Both chains share
+    one _UpperBound U, the best precedence-free makespan known, and stop
+    once their value reaches it. When both chains are requested, L2 runs
+    before the ascent, so the ascent starts from the U that L2's schedules
+    left. An entry's elapsed_s covers only the work done for it, so shared
+    work counts against the first entry that needs it: S counts against the
+    first entry of either chain, L2 also against the first of L1, L1a and
+    L1a_bar when both chains are requested, and L2_bar after L2 reads about
+    0.
     """
+    if l1_iters < 1 or l2_iters < 1:
+        raise ValueError("l1_iters and l2_iters must be >= 1")
     times = inst.times_array
+    requested = {_CHAINED[name][0] for name in include if name in _CHAINED}
+    upper = _UpperBound(times)
     # generator and the values taken from it so far; a generator runs
     # nothing until its first value is taken
-    chains = {"L1": (_l1_chain(times, l1_iters), []), "L2": (_l2_chain(times, l2_iters), [])}
+    chains = {
+        "L1": (_l1_chain(times, l1_iters, upper), []),
+        "L2": (_l2_chain(times, l2_iters, upper), []),
+    }
+
+    def take(chain, pos):
+        gen, values = chains[chain]
+        while len(values) <= pos:
+            values.append(next(gen))
+        return values[pos]
+
     report = BoundReport()
     for name in include:
         t0 = time.perf_counter()
@@ -489,10 +587,9 @@ def all_bounds(inst, include=NATIVE_BOUNDS, l1_iters=DEFAULT_L1_ITERS, l2_iters=
             value = _SINGLE[name](inst)
         elif name in _CHAINED:
             chain, pos = _CHAINED[name]
-            gen, values = chains[chain]
-            while len(values) <= pos:
-                values.append(next(gen))
-            value = values[pos]
+            if chain == "L1" and "L2" in requested:
+                take("L2", 0)
+            value = take(chain, pos)
         else:
             raise ValueError(f"unknown bound {name!r}")
         report.entries.append(BoundEntry(name, int(value), time.perf_counter() - t0))

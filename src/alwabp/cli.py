@@ -33,10 +33,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _ranged(kind, accepts, requirement):
+    """An argparse type: `kind` of the text, refused as a usage error unless
+    `accepts` holds for it."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
+
+
+_COUNT = _ranged(int, lambda v: v >= 1, "at least 1")
+_SEED = _ranged(int, lambda v: v >= 0, "at least 0")
+# nan is refused too: no deadline comparison with it is ever true
+_SECONDS = _ranged(float, lambda v: v >= 0, "at least 0")
+_OPEN_FRACTION = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
+_FRACTION = _ranged(float, lambda v: 0 <= v < 1, "in [0, 1)")
+
 # flags that only some subcommands read, added by name
 _FLAGS = {
-    "--seed": {"type": int, "default": 42},
-    "--time-limit": {"type": float, "default": None, "help": "seconds"},
+    "--seed": {"type": _SEED, "default": 42},
+    "--time-limit": {"type": _SECONDS, "default": None, "help": "seconds"},
     "--verbose": {"action": "store_true"},
     "--no-timings": {"action": "store_true", "help": "omit timing fields from the report"},
 }
@@ -56,16 +79,16 @@ def _build_parser():
             p.add_argument(flag, **_FLAGS[flag])
 
     def heuristic_flags(p):
-        p.add_argument("--gamma", type=int, default=heuristic.DEFAULT_GAMMA, help="beam width")
-        p.add_argument("--beam-factor", type=int, default=heuristic.DEFAULT_BEAM_FACTOR)
-        p.add_argument("--interval-factor", type=float, default=heuristic.DEFAULT_INTERVAL_FACTOR)
-        p.add_argument("--t-min", type=float, default=heuristic.DEFAULT_T_MIN)
-        p.add_argument("--t-max", type=float, default=heuristic.DEFAULT_T_MAX)
-        p.add_argument("--repetitions", type=int, default=heuristic.DEFAULT_REPETITIONS)
+        p.add_argument("--gamma", type=_COUNT, default=heuristic.DEFAULT_GAMMA, help="beam width")
+        p.add_argument("--beam-factor", type=_COUNT, default=heuristic.DEFAULT_BEAM_FACTOR)
+        p.add_argument("--interval-factor", type=_OPEN_FRACTION, default=heuristic.DEFAULT_INTERVAL_FACTOR)
+        p.add_argument("--t-min", type=_SECONDS, default=heuristic.DEFAULT_T_MIN)
+        p.add_argument("--t-max", type=_SECONDS, default=heuristic.DEFAULT_T_MAX)
+        p.add_argument("--repetitions", type=_COUNT, default=heuristic.DEFAULT_REPETITIONS)
 
     def bound_flags(p):
-        p.add_argument("--l1-iters", type=int, default=bounds.DEFAULT_L1_ITERS)
-        p.add_argument("--l2-iters", type=int, default=bounds.DEFAULT_L2_ITERS)
+        p.add_argument("--l1-iters", type=_COUNT, default=bounds.DEFAULT_L1_ITERS)
+        p.add_argument("--l2-iters", type=_COUNT, default=bounds.DEFAULT_L2_ITERS)
 
     p = sub.add_parser("solve", help="branch-and-bound to optimality")
     common(p, "--seed", "--time-limit", "--no-timings")
@@ -88,9 +111,9 @@ def _build_parser():
 
     p = sub.add_parser("gen", help="generate an instance from a base instance")
     common(p, "--seed")
-    p.add_argument("--workers", type=int, required=True)
+    p.add_argument("--workers", type=_COUNT, required=True)
     p.add_argument("--var", choices=("low", "high"), default="low")
-    p.add_argument("--inf", type=float, default=0.0, dest="infeasibility")
+    p.add_argument("--inf", type=_FRACTION, default=0.0, dest="infeasibility")
     p.add_argument("-o", "--output", help="output path (default: stdout)")
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")

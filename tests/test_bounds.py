@@ -291,18 +291,30 @@ def reference_l2_value(times, max_iters=DEFAULT_L2_ITERS):
     tables = bounds._l2_tables(times, max(int(loads.max()), 1))
     best = 1
     for it in range(1, max_iters + 1):
-        c_star, coverage = bounds._l2_cover(tables, np.clip(mu, 0.0, None), float(mu.sum()))
+        c_star, packs = bounds._l2_cover(tables, np.clip(mu, 0.0, None), float(mu.sum()))
+        coverage = np.array([len(machines) for machines in packs], dtype=float)
         best = max(best, c_star)
         mu = mu + (step0 / it) * (1.0 - coverage)
     return best
 
 
+def reference_l1_chain(times, max_iters=DEFAULT_L1_ITERS):
+    """L1, L1a and L1a_bar from an ascent that runs every iteration, with
+    L1a always from its knapsack."""
+    best_val, lam = bounds._l1_ascent(times, max_iters)
+    l1 = max(math.ceil(best_val - 1e-9), int(times.min(axis=1).max()))
+    l1a = bounds._l1_additive(times, l1, lam)
+    return [l1, l1a, bounds._disjunction_value(times, l1a)]
+
+
 class TestL2Stop:
     @staticmethod
     def cases():
+        # the last case has L2 5 below its precedence-free optimum 6 (a MILP
+        # gives it), so no schedule ends its L2 iterations early
         return [random_instance(seed) for seed in range(40)] + [
             random_instance(9400 + k, 12 + 6 * k, 3 + k % 5) for k in range(8)
-        ]
+        ] + [random_instance(9433, 18, 6)]
 
     def test_schedule_makespan(self):
         # a real precedence-free schedule: no better than the optimum, and
@@ -323,6 +335,51 @@ class TestL2Stop:
             counts.append(len(covers))
         assert max(counts) == DEFAULT_L2_ITERS
         assert min(counts) < DEFAULT_L2_ITERS  # the stop skipped iterations
+
+    def test_ascent_stop_same_values(self, monkeypatch):
+        # the ascent lowers U once per iteration, so counting those calls
+        # counts its iterations
+        iterations = count_calls(monkeypatch, bounds._UpperBound, "lower")
+        counts = []
+        for inst in self.cases():
+            expected = reference_l1_chain(inst.times_array)
+            iterations.clear()
+            assert list(bounds._l1_chain(inst.times_array, DEFAULT_L1_ITERS)) == expected
+            counts.append(len(iterations))
+        assert max(counts) == DEFAULT_L1_ITERS
+        assert min(counts) < DEFAULT_L1_ITERS  # the stop skipped iterations
+
+    def test_repaired_schedules(self, monkeypatch):
+        # every schedule made for U (S's and each L2 iteration's repair)
+        # puts each task on one machine it can run on and reports its
+        # largest load; U is the best of them
+        schedules = []
+        descend = bounds._descend
+
+        def recorded(rows, where, loads):
+            makespan = descend(rows, where, loads)
+            schedules.append((list(where), makespan))
+            return makespan
+
+        monkeypatch.setattr(bounds, "_descend", recorded)
+        lowered = 0
+        for inst in self.cases()[:40]:
+            times = inst.times_array
+            s = bounds._precedence_free_makespan(times)
+            schedules.clear()
+            upper = bounds._UpperBound(times)
+            bounds._l2_value(times, DEFAULT_L2_ITERS, upper)
+            for where, makespan in schedules:
+                assert len(where) == inst.n_tasks
+                loads = [0] * inst.n_workers
+                for t, w in enumerate(where):
+                    assert 0 <= w < inst.n_workers and inst.times[t][w] != INFEASIBLE
+                    loads[w] += inst.times[t][w]
+                assert makespan == max(loads)
+            assert upper.value == min(makespan for _, makespan in schedules)
+            assert rcmax_optimal(inst) <= upper.value <= s
+            lowered += upper.value < s
+        assert lowered  # a repair beat S somewhere
 
 
 class TestAllBounds:
@@ -402,6 +459,11 @@ class TestSharedWork:
     def test_unknown_bound_rejected(self, fig1):
         with pytest.raises(ValueError):
             all_bounds(fig1, ("L9",))
+
+    @pytest.mark.parametrize("iters", [(0, 20), (50, 0)])
+    def test_no_iterations_rejected(self, fig1, iters):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            all_bounds(fig1, ALL_BOUNDS, *iters)
 
 
 class TestSoundness:

@@ -269,6 +269,46 @@ class TestErrors:
         assert err.startswith("alwabp: cannot read") and "non-ASCII byte at offset" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("bounds", ["--l1-iters", "0"]),
+            ("solve", ["--l1-iters", "0"]),
+            ("bounds", ["--l2-iters", "0"]),
+            ("solve", ["--l2-iters", "-3"]),
+            ("heur", ["--gamma", "0"]),
+            ("heur", ["--beam-factor", "0"]),
+            ("heur", ["--repetitions", "0"]),
+            ("heur", ["--interval-factor", "2"]),
+            ("heur", ["--interval-factor", "nan"]),
+            ("heur", ["--seed", "-1"]),
+            ("solve", ["--time-limit", "nan"]),
+            ("heur", ["--time-limit", "-1"]),
+            ("heur", ["--t-max", "nan"]),
+            ("heur", ["--t-min", "nan"]),  # the sweep loop never ended
+            ("gen", ["--workers", "0"]),
+            ("gen", ["--workers", "2", "--inf", "1.5"]),
+        ],
+    )
+    def test_out_of_range_number_is_a_usage_error(self, fig1_path, capsys, command, flags):
+        assert main([command, fig1_path, *flags]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"alwabp: argument {flags[-2]}: must be ")
+        assert err.count("\n") == 1
+
+    def test_non_number_is_a_usage_error(self, fig1_path, capsys):
+        assert main(["heur", fig1_path, "--gamma", "x"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "alwabp: argument --gamma: invalid int value: 'x'\n"
+
+    def test_range_ends_accepted(self, fig1_path):
+        for argv in (
+            ["bounds", fig1_path, "--l1-iters", "1", "--l2-iters", "1"],
+            ["heur", fig1_path, "--gamma", "1", "--repetitions", "1", "--interval-factor", "0.5", "--seed", "0"],
+            ["heur", fig1_path, "--t-min", "0", "--t-max", "inf", "--time-limit", "0"],
+            ["gen", fig1_path, "--workers", "1", "--inf", "0"],
+        ):
+            assert run(argv)[0] == EXIT_OK
+
     def test_missing_instance_argument(self):
         assert main(["bounds"]) == EXIT_ERROR
 
