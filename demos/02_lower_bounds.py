@@ -30,9 +30,9 @@ end
 """
 
 inst = parse_instance(TEXT)
-# L1, L1a and L1a_bar share one subgradient ascent and L2_bar reuses L2, so
-# each entry's time covers only the work done for it: shared work counts
-# against the first entry that needs it, and L2_bar after L2 reads about 0
+# the five relaxation bounds all come from one L2 and one subgradient
+# ascent, so the first of them (L1 here) carries that shared work and the
+# other four read about 0
 report = all_bounds(inst, ALL_BOUNDS)
 print(f"{'bound':<10} {'value':>5} {'time':>10}")
 for entry in report.entries:

@@ -9,17 +9,16 @@ of the cycle constraints (L1), its knapsack-based additive improvement
 disjunctive strengthening of either (L1a_bar, L2_bar).
 
 None of the second family can exceed the makespan U of any schedule that
-ignores precedence. One `all_bounds` call keeps the best such U it knows
-(_UpperBound): the descent schedule S to start with, lowered by the
-schedules the bounds build anyway (L2's knapsack packings, repaired, and
-each ascent iteration's cheapest-machine assignment). A bound that reaches
-U has its final value, so L2's iterations and the ascent stop there, and
-L1a needs no knapsack once L1 has reached it.
+ignores precedence. _relaxation_bounds computes all five in one pass and
+hands U from step to step: the descent schedule S to start with, lowered
+by the schedules the bounds build anyway (L2's knapsack packings,
+repaired, and each ascent iteration's cheapest-machine assignment). A
+bound that reaches U has its final value, so L2's iterations and the
+ascent stop there, and L1a needs no knapsack once L1 has reached it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -140,7 +139,7 @@ def _lc3(inst, p, lo, hi):
 # Unrelated-parallel-machines relaxation
 
 
-def _l1_ascent(times, max_iters, upper=None):
+def _l1_ascent(times, max_iters, upper):
     """Maximize the dual value sum_t min_w (lam_w * p_tw) over the simplex.
 
     Projected-subgradient ascent: the gradient component of machine w is the
@@ -149,11 +148,12 @@ def _l1_ascent(times, max_iters, upper=None):
     renormalized. Any multiplier vector on the simplex yields a valid bound,
     so the running best is kept.
 
-    Given `upper` (an _UpperBound), the tasks' cheapest machines of each
-    iteration form a schedule whose largest load may lower U, and the
-    ascent stops once the L1 of its best value reaches U. L1 <= the
-    relaxation's optimum <= U, so L1 is final then, and so is L1a, which
-    lies between the two: the multipliers it would read are not needed.
+    The tasks' cheapest machines of each iteration form a schedule whose
+    largest load may lower U (`upper`), and the ascent stops once the L1 of
+    its best value reaches U. L1 <= the relaxation's optimum <= U, so L1 is
+    final then, and so is L1a, which lies between the two: the multipliers
+    it would read are not needed. Returns the best dual value, its
+    multipliers and U.
     """
     n_tasks, m = times.shape
     finite = np.isfinite(times)
@@ -173,10 +173,9 @@ def _l1_ascent(times, max_iters, upper=None):
             best_lam = lam.copy()
             l1 = _l1_of(best_val, p_min_max)
         loads = np.bincount(choice, weights=filled[rows, choice], minlength=m)
-        if upper is not None:
-            upper.lower(max(loads.tolist()))
-            if l1 >= upper.value:
-                break
+        upper = min(upper, int(loads.max()))
+        if l1 >= upper:
+            break
         direction = loads - np.add.reduce(loads) / m
         norm = np.abs(direction).max()
         if norm < 1e-12:
@@ -184,27 +183,13 @@ def _l1_ascent(times, max_iters, upper=None):
         lam = lam + (0.5 / (m * k)) * direction / norm
         np.maximum(lam, 0.0, out=lam)
         lam /= np.add.reduce(lam)
-    return best_val, best_lam
+    return best_val, best_lam, upper
 
 
 def _l1_of(dual_value, p_min_max):
     """L1 from a dual value: rounded up, and at least the largest task's
     smallest time."""
     return max(math.ceil(dual_value - 1e-9), p_min_max)
-
-
-def _l1_chain(times, max_iters, upper=None):
-    """Yield L1, L1a and L1a_bar of one matrix in turn, all from a single
-    ascent. Each value is computed only when it is requested, so taking
-    just L1 runs no knapsack, and neither does L1a once L1 reaches U."""
-    if upper is None:
-        upper = _UpperBound(times)
-    best_val, lam = _l1_ascent(times, max_iters, upper)
-    l1 = _l1_of(best_val, int(times.min(axis=1).max()))
-    yield l1
-    l1a = l1 if l1 >= upper.value else _l1_additive(times, l1, lam)
-    yield l1a
-    yield _disjunction_value(times, l1a)
 
 
 @dataclass(frozen=True)
@@ -416,24 +401,6 @@ def _repair(rows, packs):
     return _descend(rows, where, loads)
 
 
-class _UpperBound:
-    """U, the smallest makespan of a schedule that ignores precedence known
-    so far: S (_precedence_free_makespan) until a schedule built by a bound
-    lowers it. Every bound of the unrelated-machines relaxation is at most
-    that relaxation's optimum, so none exceeds U."""
-
-    def __init__(self, times):
-        self.times = times
-
-    @functools.cached_property
-    def value(self):
-        return _precedence_free_makespan(self.times)
-
-    def lower(self, makespan):
-        if makespan < self.value:
-            self.value = int(makespan)
-
-
 def _l2_tables(times, capacity):
     """Knapsack plan, traceback table and trace order of L2 at one width:
     each task is one step, an item on every machine it fits."""
@@ -471,7 +438,7 @@ def _l2_cover(tables, mu_plus, target):
     return c_star, packs
 
 
-def _l2_value(times, max_iters, upper=None):
+def _l2_value(times, max_iters, upper):
     """Lagrangian bound from relaxing the task assignment constraints.
 
     For multipliers mu, a makespan-c schedule packs, per machine, tasks of
@@ -480,29 +447,26 @@ def _l2_value(times, max_iters, upper=None):
     updated by a subgradient step on the coverage counts of the knapsack
     solutions; the best bound over the iterations is kept.
 
-    The knapsacks stop at capacity S, the makespan of a precedence-free
-    schedule (_precedence_free_makespan). That schedule packs every task
-    within S, so the knapsacks reach sum(mu+) >= sum(mu) by S and c* <= S.
-    Capacity c of a knapsack depends only on capacities up to c, so the
-    values and the traced subsets are those of knapsacks over each machine's
-    full load. An iteration costs O(n * m * S) cell updates instead of
-    O(n * m * sum p). Should rounding keep the sum below the target at S,
-    that iteration is redone at full width.
+    `upper` is U, the makespan of a precedence-free schedule (S from
+    _relaxation_bounds), and the knapsacks stop at the capacity U has on
+    entry: that schedule packs every task within U, so the knapsacks reach
+    sum(mu+) >= sum(mu) by U and c* <= U. Capacity c of a knapsack depends
+    only on capacities up to c, so the values and the traced subsets are
+    those of knapsacks over each machine's full load. An iteration costs
+    O(n * m * U) cell updates instead of O(n * m * sum p). Should rounding
+    keep the sum below the target at U, that iteration is redone at full
+    width.
 
-    For the same reason no c* exceeds U, the makespan of the best
-    precedence-free schedule known (`upper`, an _UpperBound starting at S).
     Each iteration's packings are repaired into a schedule (_repair) that
     may lower U, and once the best bound reaches U after an iteration that
     needed no full-width redo, the remaining iterations cannot raise it and
-    are skipped.
+    are skipped. Returns the bound and U.
     """
-    if upper is None:
-        upper = _UpperBound(times)
     mu = times.min(axis=1)
     step0 = max(1.0, float(mu.mean()) / 2.0)
     best = 1
 
-    cap = upper.value
+    cap = upper
     capped = _l2_tables(times, cap)
     full = None
     rows = times.tolist()
@@ -517,79 +481,62 @@ def _l2_value(times, max_iters, upper=None):
                 full = _l2_tables(times, max(int(loads.max()), 1))
             c_star, packs = _l2_cover(full, mu_plus, target)
         best = max(best, c_star)
-        if best < upper.value:
-            upper.lower(_repair(rows, packs))
-        if best >= upper.value and not redone:
+        if best < upper:
+            upper = min(upper, _repair(rows, packs))
+        if best >= upper and not redone:
             break
         coverage = np.fromiter(map(len, packs), float, len(packs))
         mu = mu + (step0 / it) * (1.0 - coverage)
-    return best
+    return best, upper
 
 
-def _l2_chain(times, max_iters, upper=None):
-    """Yield L2, then L2_bar strengthened from it."""
-    l2 = _l2_value(times, max_iters, upper)
-    yield l2
-    yield _disjunction_value(times, l2)
+def _relaxation_bounds(times, l1_iters, l2_iters):
+    """L1, L1a, L1a_bar, L2 and L2_bar of one matrix, by name, from one L2
+    and one ascent. U starts at S and each step takes it and returns it,
+    lowered by the schedules it built: L2 first, so the ascent starts from
+    the U that L2's repairs left, and L1a from its knapsack only while L1
+    is below U."""
+    upper = _precedence_free_makespan(times)
+    l2, upper = _l2_value(times, l2_iters, upper)
+    best_val, lam, upper = _l1_ascent(times, l1_iters, upper)
+    l1 = _l1_of(best_val, int(times.min(axis=1).max()))
+    l1a = l1 if l1 >= upper else _l1_additive(times, l1, lam)
+    return {
+        "L1": l1,
+        "L1a": l1a,
+        "L1a_bar": _disjunction_value(times, l1a),
+        "L2": l2,
+        "L2_bar": _disjunction_value(times, l2),
+    }
 
 
 # ---------------------------------------------------------------------------
 
 
-# bound name -> (chain, position of the bound in it)
-_CHAINED = {
-    "L1": ("L1", 0),
-    "L1a": ("L1", 1),
-    "L1a_bar": ("L1", 2),
-    "L2": ("L2", 0),
-    "L2_bar": ("L2", 1),
-}
 _SINGLE = {"LC1": lc1, "LC2": lc2, "LC3": lc3}
+_RELAXATION = ("L1", "L1a", "L1a_bar", "L2", "L2_bar")
 
 
 def all_bounds(inst, include=NATIVE_BOUNDS, l1_iters=DEFAULT_L1_ITERS, l2_iters=DEFAULT_L2_ITERS):
     """Compute the requested bounds and report values with compute times.
 
-    L1, L1a and L1a_bar share one ascent, and L2_bar reuses L2; each shared
-    result is computed once, when the first entry that needs it is reached,
-    and nothing that no requested entry needs is computed. Both chains share
-    one _UpperBound U, the best precedence-free makespan known, and stop
-    once their value reaches it. When both chains are requested, L2 runs
-    before the ascent, so the ascent starts from the U that L2's schedules
-    left. An entry's elapsed_s covers only the work done for it, so shared
-    work counts against the first entry that needs it: S counts against the
-    first entry of either chain, L2 also against the first of L1, L1a and
-    L1a_bar when both chains are requested, and L2_bar after L2 reads about
-    0.
+    The LC bounds are computed one by one, each when its entry is reached.
+    The five relaxation bounds come from one _relaxation_bounds call, made
+    at the first relaxation entry, whose elapsed_s covers all of that work;
+    later relaxation entries read about 0.
     """
     if l1_iters < 1 or l2_iters < 1:
         raise ValueError("l1_iters and l2_iters must be >= 1")
-    times = inst.times_array
-    requested = {_CHAINED[name][0] for name in include if name in _CHAINED}
-    upper = _UpperBound(times)
-    # generator and the values taken from it so far; a generator runs
-    # nothing until its first value is taken
-    chains = {
-        "L1": (_l1_chain(times, l1_iters, upper), []),
-        "L2": (_l2_chain(times, l2_iters, upper), []),
-    }
-
-    def take(chain, pos):
-        gen, values = chains[chain]
-        while len(values) <= pos:
-            values.append(next(gen))
-        return values[pos]
-
+    relaxation = None
     report = BoundReport()
     for name in include:
         t0 = time.perf_counter()
         if name in _SINGLE:
             value = _SINGLE[name](inst)
-        elif name in _CHAINED:
-            chain, pos = _CHAINED[name]
-            if chain == "L1" and "L2" in requested:
-                take("L2", 0)
-            value = take(chain, pos)
+        elif name in _RELAXATION:
+            if relaxation is None:
+                relaxation = _relaxation_bounds(inst.times_array, l1_iters, l2_iters)
+            value = relaxation[name]
         else:
             raise ValueError(f"unknown bound {name!r}")
         report.entries.append(BoundEntry(name, int(value), time.perf_counter() - t0))

@@ -134,6 +134,8 @@ def _instance_paths(args):
     if args.glob_pattern is not None:
         if args.instance is not None:
             raise _UsageError("give either an instance path or --glob, not both")
+        if getattr(args, "output", None):
+            raise _UsageError("-o writes one file, so it cannot be combined with --glob")
         paths = sorted(globmod.glob(args.glob_pattern))
         if not paths:
             raise AlwabpError(f"no files match {args.glob_pattern!r}")
@@ -272,7 +274,8 @@ def _run_heur(args, path, out):
     if log:
         sweeps = [_sweep_line(entry, args.no_timings) for entry in log]
         report["sweeps"] = sweeps
-        out.extend(sweeps)
+        if not args.as_json:
+            out.extend(sweeps)
     report["result"] = {"value": sol.cycle_time, "status": "feasible"}
     report["solution"] = _solution_block(sol)
     _emit(args, report, out)

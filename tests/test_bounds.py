@@ -301,9 +301,27 @@ def reference_l2_value(times, max_iters=DEFAULT_L2_ITERS):
 def reference_l1_chain(times, max_iters=DEFAULT_L1_ITERS):
     """L1, L1a and L1a_bar from an ascent that runs every iteration, with
     L1a always from its knapsack."""
-    best_val, lam = bounds._l1_ascent(times, max_iters)
+    n_tasks, m = times.shape
+    finite = np.isfinite(times)
+    filled = np.where(finite, times, 0.0)
+    rows = np.arange(n_tasks)
+    lam = np.full(m, 1.0 / m)
+    best_val, best_lam = -math.inf, lam
+    for k in range(1, max_iters + 1):
+        weighted = np.where(finite, filled * lam, np.inf)
+        choice = weighted.argmin(axis=1)
+        value = weighted[rows, choice].sum()
+        if value > best_val:
+            best_val, best_lam = value, lam.copy()
+        loads = np.bincount(choice, weights=filled[rows, choice], minlength=m)
+        direction = loads - loads.sum() / m
+        norm = np.abs(direction).max()
+        if norm < 1e-12:
+            break
+        lam = np.maximum(lam + (0.5 / (m * k)) * direction / norm, 0.0)
+        lam /= lam.sum()
     l1 = max(math.ceil(best_val - 1e-9), int(times.min(axis=1).max()))
-    l1a = bounds._l1_additive(times, l1, lam)
+    l1a = bounds._l1_additive(times, l1, best_lam)
     return [l1, l1a, bounds._disjunction_value(times, l1a)]
 
 
@@ -329,25 +347,46 @@ class TestL2Stop:
         covers = count_calls(monkeypatch, bounds, "_l2_cover")
         counts = []
         for inst in self.cases():
-            expected = reference_l2_value(inst.times_array)
+            times = inst.times_array
+            expected = reference_l2_value(times)
             covers.clear()
-            assert bounds._l2_value(inst.times_array, DEFAULT_L2_ITERS) == expected
+            l2, _ = bounds._l2_value(times, DEFAULT_L2_ITERS, bounds._precedence_free_makespan(times))
+            assert l2 == expected
             counts.append(len(covers))
         assert max(counts) == DEFAULT_L2_ITERS
         assert min(counts) < DEFAULT_L2_ITERS  # the stop skipped iterations
 
     def test_ascent_stop_same_values(self, monkeypatch):
-        # the ascent lowers U once per iteration, so counting those calls
-        # counts its iterations
-        iterations = count_calls(monkeypatch, bounds._UpperBound, "lower")
-        counts = []
+        # an ascent iteration, here or in the reference, makes one bincount
+        # call, so counting those calls counts its iterations; U starts at
+        # S, with no L2 before it
+        iterations = count_calls(monkeypatch, np, "bincount")
+        counts, full_counts = [], []
         for inst in self.cases():
-            expected = reference_l1_chain(inst.times_array)
+            times = inst.times_array
             iterations.clear()
-            assert list(bounds._l1_chain(inst.times_array, DEFAULT_L1_ITERS)) == expected
+            expected = reference_l1_chain(times)
+            full_counts.append(len(iterations))
+            iterations.clear()
+            upper = bounds._precedence_free_makespan(times)
+            best_val, lam, upper = bounds._l1_ascent(times, DEFAULT_L1_ITERS, upper)
             counts.append(len(iterations))
+            l1 = bounds._l1_of(best_val, int(times.min(axis=1).max()))
+            l1a = l1 if l1 >= upper else bounds._l1_additive(times, l1, lam)
+            assert [l1, l1a, bounds._disjunction_value(times, l1a)] == expected
         assert max(counts) == DEFAULT_L1_ITERS
-        assert min(counts) < DEFAULT_L1_ITERS  # the stop skipped iterations
+        # the stop at U skipped iterations that the reference ran (the
+        # reference itself ends early when the subgradient vanishes)
+        assert any(n < full for n, full in zip(counts, full_counts))
+
+    def test_l1a_knapsack_only_below_u(self, monkeypatch):
+        # L1a = L1 without its knapsack once L1 has reached U; the pinned
+        # digests show that the values stay those of the knapsack
+        knapsacks = count_calls(monkeypatch, bounds, "_l1_additive")
+        cases = self.cases()
+        for inst in cases:
+            all_bounds(inst, ALL_BOUNDS)
+        assert 0 < len(knapsacks) < len(cases)
 
     def test_repaired_schedules(self, monkeypatch):
         # every schedule made for U (S's and each L2 iteration's repair)
@@ -365,10 +404,9 @@ class TestL2Stop:
         lowered = 0
         for inst in self.cases()[:40]:
             times = inst.times_array
-            s = bounds._precedence_free_makespan(times)
             schedules.clear()
-            upper = bounds._UpperBound(times)
-            bounds._l2_value(times, DEFAULT_L2_ITERS, upper)
+            s = bounds._precedence_free_makespan(times)
+            _, upper = bounds._l2_value(times, DEFAULT_L2_ITERS, s)
             for where, makespan in schedules:
                 assert len(where) == inst.n_tasks
                 loads = [0] * inst.n_workers
@@ -376,9 +414,9 @@ class TestL2Stop:
                     assert 0 <= w < inst.n_workers and inst.times[t][w] != INFEASIBLE
                     loads[w] += inst.times[t][w]
                 assert makespan == max(loads)
-            assert upper.value == min(makespan for _, makespan in schedules)
-            assert rcmax_optimal(inst) <= upper.value <= s
-            lowered += upper.value < s
+            assert upper == min(makespan for _, makespan in schedules)
+            assert rcmax_optimal(inst) <= upper <= s
+            lowered += upper < s
         assert lowered  # a repair beat S somewhere
 
 
@@ -448,13 +486,20 @@ class TestSharedWork:
             assert (len(ascents), len(l2_runs)) == (1, 1)
 
     def test_unrequested_work_skipped(self, monkeypatch, fig1):
+        # an LC-only call runs none of the relaxation; any relaxation name
+        # runs all of it once
+        schedules = count_calls(monkeypatch, bounds, "_precedence_free_makespan")
         ascents = count_calls(monkeypatch, bounds, "_l1_ascent")
         knapsacks = count_calls(monkeypatch, bounds, "_l1_additive")
         l2_runs = count_calls(monkeypatch, bounds, "_l2_value")
-        all_bounds(fig1, ("L1",))
-        assert (len(ascents), len(knapsacks), len(l2_runs)) == (1, 0, 0)
         all_bounds(fig1, ("LC1", "LC2", "LC3"))
-        assert (len(ascents), len(knapsacks), len(l2_runs)) == (1, 0, 0)
+        assert (len(schedules), len(ascents), len(knapsacks), len(l2_runs)) == (0, 0, 0, 0)
+        for name in ("L1", "L1a", "L1a_bar", "L2", "L2_bar"):
+            schedules.clear()
+            ascents.clear()
+            l2_runs.clear()
+            all_bounds(fig1, ("LC1", name, name))
+            assert (len(schedules), len(ascents), len(l2_runs)) == (1, 1, 1)
 
     def test_unknown_bound_rejected(self, fig1):
         with pytest.raises(ValueError):

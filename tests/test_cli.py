@@ -82,6 +82,11 @@ class TestHeur:
         assert [l.rsplit(" ", 1)[0] for l in timed_lines] == sweep_lines
         assert all(l.split()[3].isdigit() for l in timed_lines)
 
+    def test_verbose_json_is_one_document(self, fig1_path):
+        # the sweep lines go into the document, not ahead of it
+        code, text = run(["heur", fig1_path, "--seed", "42", "--verbose", "--json", "--no-timings"])
+        assert code == EXIT_OK
+        assert json.loads(text)["sweeps"]
 
     def test_deadline_sweep_line(self, tmp_path, monkeypatch):
         path = tmp_path / "40x6.alwabp"
@@ -238,6 +243,17 @@ class TestGlob:
 
     def test_glob_and_path_conflict(self, fig1_path):
         assert main(["bounds", fig1_path, "--glob", "*"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("command, flags", [("export", []), ("gen", ["--workers", "2"])])
+    def test_glob_and_output_conflict(self, tmp_path, capsys, command, flags):
+        # one -o file cannot hold one output per matched file
+        (tmp_path / "a.alwabp").write_text(FIG1_TEXT)
+        (tmp_path / "b.alwabp").write_text(FIG1_TEXT)
+        out = tmp_path / "out.txt"
+        argv = [command, "--glob", str(tmp_path / "*.alwabp"), *flags, "-o", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("alwabp:")
+        assert not out.exists()
 
 
 class TestErrors:
