@@ -370,8 +370,10 @@ class _Search:
 
 def branch_and_bound(inst, config=None):
     """Solve to optimality (or the time limit): root bounds, the only
-    Lagrangian ascent; a narrow-beam ipbs incumbent; then depth-first
-    task-oriented search with the cheap bounds of _node_bound."""
+    Lagrangian ascent; a narrow-beam ipbs incumbent, which polishes its
+    first construction and hands over once a sweep finds no better cycle
+    time (IpbsParams.hand_over); then depth-first task-oriented search with
+    the cheap bounds of _node_bound."""
     if config is None:
         config = BnbConfig()
     t0 = time.monotonic()
@@ -384,7 +386,9 @@ def branch_and_bound(inst, config=None):
         t_max = max(0.5, inst.n_tasks * inst.n_workers / 10)
         if deadline is not None:
             t_max = min(t_max, max(0.0, deadline - time.monotonic()))
-        params = IpbsParams(WARM_START_GAMMA, WARM_START_BEAM_FACTOR, t_min=0.0, t_max=t_max, seed=config.seed)
+        params = IpbsParams(
+            WARM_START_GAMMA, WARM_START_BEAM_FACTOR, t_min=0.0, t_max=t_max, seed=config.seed, hand_over=True
+        )
         try:
             heur = ipbs(inst, params, lower_bound=root_lb)
         except InfeasibleInstanceError:

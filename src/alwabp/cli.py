@@ -334,7 +334,7 @@ def _run_oracle(args, path, out):
 
 def _emit(args, report, out):
     if args.as_json:
-        out.append(json.dumps(report, indent=2))
+        out.append(report)  # run writes the reports as one JSON document
     else:
         _render_text(report, out)
 
@@ -350,7 +350,11 @@ _HANDLERS = {
 
 
 def run(argv):
-    """Execute one subcommand; returns (exit code, report text)."""
+    """Execute one subcommand; returns (exit code, report text). With --json
+    the text is one JSON document: the report, or an array of the reports
+    when --glob matches several files (each names its file in
+    config.instance). Text output, and the model or instance text of export
+    and gen, starts each file's part with a `file PATH` line instead."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     paths = _instance_paths(args)
@@ -362,6 +366,9 @@ def run(argv):
         if len(paths) > 1:
             out.append(f"file {path}")
         code = max(code, _HANDLERS[args.command](args, path, out))
+    reports = [item for item in out if isinstance(item, dict)]
+    if reports:
+        return code, json.dumps(reports if len(paths) > 1 else reports[0], indent=2) + "\n"
     return code, "\n".join(out) + ("\n" if out else "")
 
 

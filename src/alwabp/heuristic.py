@@ -46,6 +46,11 @@ class BeamParams:
 
 @dataclass(frozen=True)
 class IpbsParams:
+    """Settings of ipbs. hand_over is the warm-start policy that only
+    branch_and_bound sets, since it wants an incumbent fast: polish the
+    initial construction, and stop after the first sweep that finds no
+    better cycle time. Left off, ipbs runs the paper's sweep budget."""
+
     gamma: int = DEFAULT_GAMMA
     beam_factor: int = DEFAULT_BEAM_FACTOR
     interval_factor: float = DEFAULT_INTERVAL_FACTOR
@@ -53,6 +58,7 @@ class IpbsParams:
     t_max: float = DEFAULT_T_MAX
     repetitions: int = DEFAULT_REPETITIONS
     seed: int = 42
+    hand_over: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.interval_factor < 1.0:
@@ -281,6 +287,12 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     A given `log` list receives one (cycle time, feasible, milliseconds)
     tuple per beam call; feasible is None for a call that came back empty
     after the t_max deadline had passed, which may have cut it short.
+
+    With params.hand_over, the initial construction is polished by local
+    search first, so the first sweep starts near the frontier instead of
+    walking down from a trivial line, and the search stops after the first
+    sweep that finds no better cycle time: the calls that remain would
+    retry cycle times that the narrow beam has just failed to reach.
     """
     if params is None:
         params = IpbsParams()
@@ -293,6 +305,8 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     best = initial_upper_bound(inst, seeds.spawn(1)[0], params.gamma)
     if best is FAILED:
         raise InfeasibleInstanceError("no feasible assignment exists at any cycle time")
+    if params.hand_over:
+        best = local_search(inst, best)
     c_up = best.cycle_time
 
     sweeps = 0
@@ -301,6 +315,7 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
         if (sweeps >= params.repetitions or elapsed >= params.t_max) and elapsed >= params.t_min:
             break
         sweeps += 1
+        c_sweep = c_up
         start = max(lower_bound, math.floor(params.interval_factor * c_up))
         for c in range(c_up - 1, start - 1, -1):
             if c >= c_up:
@@ -319,6 +334,8 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
                     break
             if time.monotonic() >= deadline:
                 break
+        if params.hand_over and c_up == c_sweep:
+            break
     return local_search(inst, best)
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from alwabp import (
     brute_force_optimal,
     check_solution_against_model,
     generate_instance,
+    parse_instance,
     select_branch_task,
     set_assignment,
     transitive_closure,
@@ -437,6 +439,44 @@ class TestNodeBound:
         assert widths[0] == (125, 1)
 
 
+class TestWarmStart:
+    @staticmethod
+    def record_beam_calls(monkeypatch):
+        """(cycle time, solution or FAILED) per beam call, in call order;
+        the first is the initial construction."""
+        calls = []
+        beam = heuristic.beam_search_feasible
+
+        def recorded(inst, params, **kwargs):
+            sol = beam(inst, params, **kwargs)
+            calls.append((params.cycle_time, sol))
+            return sol
+
+        monkeypatch.setattr(heuristic, "beam_search_feasible", recorded)
+        return calls
+
+    def test_first_sweep_starts_below_polished_construction(self, monkeypatch):
+        calls = self.record_beam_calls(monkeypatch)
+        inst = random_instance(5, n_tasks=12, n_workers=3)
+        branch_and_bound(inst)
+        construction = calls[0][1]
+        polished = heuristic.local_search(inst, construction).cycle_time
+        assert polished < construction.cycle_time
+        assert calls[1][0] == polished - 1
+
+    def test_one_sweep_from_an_optimal_start(self, monkeypatch):
+        calls = self.record_beam_calls(monkeypatch)
+        inst = random_instance(6, n_tasks=12, n_workers=3)
+        result = branch_and_bound(inst)
+        polished = heuristic.local_search(inst, calls[0][1]).cycle_time
+        root = result.root_bounds.best
+        assert polished == result.value == brute_force_optimal(inst) > root
+        # every call of the sweep fails, and no second sweep retries them
+        start = max(root, math.floor(heuristic.DEFAULT_INTERVAL_FACTOR * polished))
+        assert [c for c, _ in calls[1:]] == list(range(polished - 1, start - 1, -1))
+        assert all(sol is heuristic.FAILED for _, sol in calls[1:])
+
+
 class TestBranchAndBound:
     def test_fig1_optimal(self, fig1):
         result = branch_and_bound(fig1)
@@ -531,15 +571,32 @@ class TestBranchAndBound:
             (11002, 16, 4): (13, 81, OPTIMAL),
             (11003, 18, 4): (21, 194, OPTIMAL),
             (11004, 20, 4): (21, 243, OPTIMAL),
-            (11005, 20, 5): (14, 480, OPTIMAL),
+            (11005, 20, 5): (14, 522, OPTIMAL),
             (11006, 22, 4): (16, 243, OPTIMAL),
             (11007, 24, 5): (17, 328, OPTIMAL),
-            (11009, 28, 5): (10, 2432, OPTIMAL),
+            (11009, 28, 5): (10, 23, OPTIMAL),
             (11010, 28, 4): (33, 64, OPTIMAL),
         }
         for (seed, n, m), expected in pins.items():
             result = branch_and_bound(random_instance(seed, n, m))
             assert (result.value, result.nodes, result.status) == expected, seed
+
+    def test_results_pinned_at_paper_scale(self):
+        # tests/golden/paper_*_91.alwabp: three instances of the paper-scale
+        # set, written by perfbench/corpus.generate at corpus seed 91 with
+        # base times 1-99 (28x4 low variability with 10 % infeasible cells
+        # and 28x7 high with 20 %, arc density 0.1; 40x6 low with 10 %, arc
+        # density 0.04); each value is the MILP optimum of perfbench/oracle.py
+        pins = {
+            "paper_28x4_low_91": (122, 2969, OPTIMAL),
+            "paper_28x7_high_91": (74, 1598, OPTIMAL),
+            "paper_40x6_low_91": (75, 936, OPTIMAL),
+        }
+        golden = Path(__file__).parent / "golden"
+        for name, expected in pins.items():
+            inst = parse_instance((golden / f"{name}.alwabp").read_text(encoding="ascii"))
+            result = branch_and_bound(inst)
+            assert (result.value, result.nodes, result.status) == expected, name
 
 
 class TestBruteForce:

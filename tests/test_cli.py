@@ -241,6 +241,17 @@ class TestGlob:
         assert f"file {tmp_path / 'a.alwabp'}" in text
         assert f"file {tmp_path / 'b.alwabp'}" in text
 
+    def test_json_is_one_document(self, tmp_path):
+        # one array of the reports, each naming its file; no `file` lines
+        (tmp_path / "a.alwabp").write_text(SINGLE_TEXT)
+        (tmp_path / "b.alwabp").write_text(FIG1_TEXT)
+        code, text = run(["bounds", "--glob", str(tmp_path / "*.alwabp"), "--json", "--no-timings"])
+        assert code == EXIT_OK
+        paths = [str(tmp_path / "a.alwabp"), str(tmp_path / "b.alwabp")]
+        reports = json.loads(text)
+        assert [r["config"]["instance"] for r in reports] == paths
+        assert reports == [json.loads(run(["bounds", p, "--json", "--no-timings"])[1]) for p in paths]
+
     def test_glob_and_path_conflict(self, fig1_path):
         assert main(["bounds", fig1_path, "--glob", "*"]) == EXIT_ERROR
 
