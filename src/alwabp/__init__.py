@@ -35,7 +35,6 @@ from .heuristic import (
     FAILED,
     BeamParams,
     IpbsParams,
-    PartialAssignment,
     beam_search_feasible,
     initial_upper_bound,
     ipbs,
@@ -44,13 +43,8 @@ from .heuristic import (
 from .bnb import (
     BnbConfig,
     BnbResult,
-    SearchState,
-    WorkerOrderGraph,
-    apply_reduction_rules,
     branch_and_bound,
     brute_force_optimal,
-    select_branch_task,
-    set_assignment,
 )
 from .export import (
     M2,

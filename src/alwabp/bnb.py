@@ -6,7 +6,10 @@ task-worker cells, and bounds each node on the reduced time matrix. The
 worker order graph is kept transitively closed as one bitmask row per
 worker, and the reduced time matrix as one Python list per task. Every
 node owns its state: a child starts as a copy of its parent, so nothing is
-ever undone.
+ever undone. Next to the matrix, a node keeps current what the branching
+choice, the rules and the node bound read (row minima and their sum, LC3's
+heads and tails, feasible-cell masks per worker, neighbour-worker masks per
+task; see SearchState), so no step rebuilds them from the whole matrix.
 """
 
 from __future__ import annotations
@@ -81,34 +84,96 @@ class WorkerOrderGraph:
 
 
 class SearchState:
-    """The state of one search node; a child node starts as a copy."""
+    """The state of one search node; a child node starts as a copy.
+
+    Besides the reduced matrix eff, the assignment, the loads and the worker
+    order graph, a node carries what its branching, rules and bound read,
+    each updated only where the node changes it:
+
+    - p_min[t], the minimum of eff[t], and total, their sum (mark_infeasible);
+    - heads[t] and tails[t], p_min[t] plus p_min over t's transitive
+      predecessors and successors, LC3's inputs (mark_infeasible);
+    - feasible[w], the task mask of the cells on worker w that are not
+      excluded (mark_infeasible);
+    - per task, the masks of the workers holding an assigned direct
+      predecessor (pred_workers) or successor (succ_workers), and the same
+      over all transitive ones (pred_star_workers, succ_star_workers)
+      (_assign).
+
+    The caches of a dead node, one a rule has emptied a row of, are not
+    kept: the search drops it.
+    """
 
     def __init__(self, inst):
+        n, m = inst.n_tasks, inst.n_workers
         self.inst = inst
         self.eff = [list(row) for row in inst.times]
         self.assignment = {}
-        self.on_worker = [0] * inst.n_workers  # bitmask of the tasks assigned to each worker
-        self.loads = [0] * inst.n_workers
-        self.order_graph = WorkerOrderGraph(inst.n_workers)
+        self.on_worker = [0] * m  # bitmask of the tasks assigned to each worker
+        self.loads = [0] * m
+        self.order_graph = WorkerOrderGraph(m)
+        self.p_min = list(inst.min_times)
+        self.total = sum(self.p_min)
+        self.heads, self.tails = lb._heads_tails(inst, self.p_min)
+        self.feasible = [sum(1 << t for t in range(n) if inst.times[t][w] != INFEASIBLE) for w in range(m)]
+        self.pred_workers = [0] * n
+        self.succ_workers = [0] * n
+        self.pred_star_workers = [0] * n
+        self.succ_star_workers = [0] * n
+        # the direct successors and predecessors of each task, then the
+        # transitive ones, as lists of task indices: the cache updates walk
+        # them, and all nodes of a search share them (read only)
+        self.related = [
+            [list(iter_bits(mask)) for mask in masks]
+            for masks in (inst.succ_mask, inst.pred_mask, inst.succ_star, inst.pred_star)
+        ]
 
     def child(self):
         node = SearchState.__new__(SearchState)
         node.inst = self.inst
+        node.related = self.related
         node.eff = [row[:] for row in self.eff]
         node.assignment = dict(self.assignment)
-        node.on_worker = list(self.on_worker)
-        node.loads = list(self.loads)
+        node.on_worker = self.on_worker[:]
+        node.loads = self.loads[:]
         node.order_graph = self.order_graph.copy()
+        node.p_min = self.p_min[:]
+        node.total = self.total
+        node.heads = self.heads[:]
+        node.tails = self.tails[:]
+        node.feasible = self.feasible[:]
+        node.pred_workers = self.pred_workers[:]
+        node.succ_workers = self.succ_workers[:]
+        node.pred_star_workers = self.pred_star_workers[:]
+        node.succ_star_workers = self.succ_star_workers[:]
         return node
 
     def mark_infeasible(self, t, w):
         """Set a cell infeasible; returns False when task t loses its last
-        worker (the node is then dead)."""
+        worker (the node is then dead). When the cell held the row minimum,
+        p_min[t] rises, and with it total, the heads of t and its transitive
+        successors and the tails of t and its transitive predecessors."""
         row = self.eff[t]
         if row[w] == INFEASIBLE:
             return True
         row[w] = INFEASIBLE
-        return min(row) != INFEASIBLE
+        self.feasible[w] ^= 1 << t
+        low = min(row)
+        if low == INFEASIBLE:
+            return False
+        rise = low - self.p_min[t]
+        if rise:
+            self.p_min[t] = low
+            self.total += rise
+            _, _, succ_star, pred_star = self.related
+            heads, tails = self.heads, self.tails
+            heads[t] += rise
+            tails[t] += rise
+            for u in succ_star[t]:
+                heads[u] += rise
+            for u in pred_star[t]:
+                tails[u] += rise
+        return True
 
     def fingerprint(self):
         return (
@@ -117,20 +182,16 @@ class SearchState:
             tuple(sorted(self.assignment.items())),
             tuple(self.on_worker),
             tuple(self.order_graph.rows),
+            tuple(self.p_min),
+            self.total,
+            tuple(self.heads),
+            tuple(self.tails),
+            tuple(self.feasible),
+            tuple(self.pred_workers),
+            tuple(self.succ_workers),
+            tuple(self.pred_star_workers),
+            tuple(self.succ_star_workers),
         )
-
-
-def _neighbour_workers(state, preds, succs):
-    """Masks of the workers holding an assigned task of the task mask preds
-    and of the task mask succs; the worker the task in question goes to is
-    the caller's to exclude."""
-    before = after = 0
-    for w, tasks in enumerate(state.on_worker):
-        if preds & tasks:
-            before |= 1 << w
-        if succs & tasks:
-            after |= 1 << w
-    return before, after
 
 
 def set_assignment(state, t, w):
@@ -148,15 +209,25 @@ def set_assignment(state, t, w):
 
 def _assign(state, t, w):
     """Assign t to w and link its worker into the order graph; returns False,
-    changing nothing, when that would close a cycle."""
+    changing nothing, when that would close a cycle. The neighbour-worker
+    masks of t's predecessors and successors gain w."""
     inst = state.inst
-    before, after = _neighbour_workers(state, inst.pred_star[t], inst.succ_star[t])
-    other = ~(1 << w)
-    if not state.order_graph.link(before & other, w, after & other):
+    bit = 1 << w
+    other = ~bit
+    if not state.order_graph.link(state.pred_star_workers[t] & other, w, state.succ_star_workers[t] & other):
         return False
     state.assignment[t] = w
     state.on_worker[w] |= 1 << t
     state.loads[w] += inst.times[t][w]
+    succ, pred, succ_star, pred_star = state.related
+    for masks, tasks in (
+        (state.pred_workers, succ[t]),
+        (state.succ_workers, pred[t]),
+        (state.pred_star_workers, succ_star[t]),
+        (state.succ_star_workers, pred_star[t]),
+    ):
+        for u in tasks:
+            masks[u] |= bit
     return True
 
 
@@ -171,10 +242,15 @@ def apply_reduction_rules(state, t, w, gub):
     on that worker. R3 excludes a candidate cell whose chain would already
     reach the incumbent, once per (newly) assigned task against the
     then-current matrix. Returns True when the node is DEAD.
+
+    The loops that exclude cells walk only the cells still feasible
+    (state.feasible); a cell an assigned task holds stays feasible, so a
+    contradiction is still seen.
     """
     inst = state.inst
     m = inst.n_workers
     eff = state.eff
+    feasible = state.feasible
     asg = state.assignment
     succ_star, pred_star = inst.succ_star, inst.pred_star
     pending_assign = [t]
@@ -211,16 +287,15 @@ def apply_reduction_rules(state, t, w, gub):
                     pending_assign.append(j)
             # infeasible intermediates already present around a
             for star in (succ_star, pred_star):
-                for j in iter_bits(star[a]):
-                    if eff[j][wa] == INFEASIBLE:
-                        for k in iter_bits(star[j]):
-                            if not mark(k, wa):
-                                return True
+                for j in iter_bits(star[a] & ~feasible[wa]):
+                    for k in iter_bits(star[j] & feasible[wa]):
+                        if not mark(k, wa):
+                            return True
             # chain-load exclusion relative to the incumbent
             pa = eff[a][wa]
             after_a, before_a = succ_star[a], pred_star[a]
-            for t2 in iter_bits(after_a | before_a):
-                if t2 in asg or eff[t2][wa] == INFEASIBLE:
+            for t2 in iter_bits((after_a | before_a) & feasible[wa]):
+                if t2 in asg:
                     continue
                 total = pa + eff[t2][wa]
                 for u in iter_bits(after_a & pred_star[t2] | succ_star[t2] & before_a):
@@ -233,10 +308,25 @@ def apply_reduction_rules(state, t, w, gub):
             on_wj = state.on_worker[wj]
             for star, star_rev in ((succ_star, pred_star), (pred_star, succ_star)):
                 if star_rev[j] & on_wj:
-                    for k in iter_bits(star[j]):
+                    for k in iter_bits(star[j] & feasible[wj]):
                         if not mark(k, wj):
                             return True
     return False
+
+
+def _cycle_workers(rows, pred_workers, succ_workers):
+    """The workers a task cannot go to without an immediate cycle: those
+    that precede a worker of pred_workers, which holds a direct predecessor
+    of the task, or follow one of succ_workers, which holds a direct
+    successor (no row holds its own bit, so a neighbour on the same worker
+    is no cycle)."""
+    blocked = 0
+    for w, row in enumerate(rows):
+        if row & pred_workers:
+            blocked |= 1 << w
+    for x in iter_bits(succ_workers):
+        blocked |= rows[x]
+    return blocked
 
 
 def select_branch_task(state, gub):
@@ -251,31 +341,39 @@ def select_branch_task(state, gub):
     inst = state.inst
     m = inst.n_workers
     eff = state.eff
-    p_min = [min(row) for row in eff]
-    total = sum(p_min)
+    p_min = state.p_min
+    total = state.total
     loads = state.loads
     max_load = max(loads)
     rows = state.order_graph.rows
+    asg = state.assignment
+    pred_workers, succ_workers = state.pred_workers, state.succ_workers
+    blocked_by = {}  # many tasks share their neighbour workers
     best = None
     for t in range(inst.n_tasks):
-        if t in state.assignment:
+        if t in asg:
             continue
-        # an immediate cycle: w precedes a worker holding a direct
-        # predecessor of t, or follows one holding a direct successor (no
-        # row holds its own bit, so a neighbour on w itself is no cycle)
-        pred_workers, succ_workers = _neighbour_workers(state, inst.pred_mask[t], inst.succ_mask[t])
-        follows = 0
-        for x in iter_bits(succ_workers):
-            follows |= rows[x]
-        pairs = []
+        neighbours = pred_workers[t] | succ_workers[t] << m
+        blocked = blocked_by.get(neighbours)
+        if blocked is None:
+            blocked = blocked_by[neighbours] = _cycle_workers(rows, pred_workers[t], succ_workers[t])
         rest = total - p_min[t]
+        pairs = []
+        low = math.inf
         for w, p in enumerate(eff[t]):
-            if p == INFEASIBLE or rows[w] & pred_workers or follows >> w & 1:
+            if p == INFEASIBLE or blocked >> w & 1:
                 continue
-            after = max(max_load, loads[w] + p, math.ceil((rest + p) / m - 1e-9))
+            after = loads[w] + p
+            share = -(-(rest + p) // m)
+            if share > after:
+                after = share
+            if max_load > after:
+                after = max_load
             if after < gub:
                 pairs.append((after, w))
-        key = (m - len(pairs), min(pairs)[0] if pairs else math.inf, -t)
+                if after < low:
+                    low = after
+        key = (m - len(pairs), low, -t)
         if best is None or key > best[0]:
             best = (key, t, pairs)
     return best[1], best[2]
@@ -288,18 +386,18 @@ def _node_bound(state, gub):
 
     LC3 is searched only on [value so far, gub]: below the value it cannot
     raise the bound, and at gub the node is pruned whatever LC3's exact
-    value. So the result is exact below gub and at least gub otherwise."""
-    inst = state.inst
-    m = inst.n_workers
-    p_min = [min(row) for row in state.eff]
-    total = sum(p_min)
+    value. So the result is exact below gub and at least gub otherwise.
+    Every input is the node's own cache: p_min, total, heads and tails."""
+    m = state.inst.n_workers
+    p_min = state.p_min
+    total = state.total
     value = max(max(state.loads), max(p_min), -(-total // m))
     if value >= gub:
         return value
     value = max(value, lb._lc2(sorted(p_min, reverse=True), m))
     if value >= gub:
         return value
-    return lb._lc3(inst, p_min, value, min(max(value, total), gub))
+    return lb._lc3_search(state.heads, state.tails, m, value, min(max(value, total), gub))
 
 
 @dataclass

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +126,13 @@ def _lc3(inst, p, lo, hi):
     whether LC3 reaches the incumbent, so it passes the value it already has
     and the incumbent as the window; the root lc3 passes the full range."""
     heads, tails = _heads_tails(inst, p)
-    limit = inst.n_workers + 1
+    return _lc3_search(heads, tails, inst.n_workers, lo, hi)
+
+
+def _lc3_search(heads, tails, m, lo, hi):
+    """The binary search of _lc3 on given heads and tails, for a caller
+    that keeps them current itself."""
+    limit = m + 1
     while lo < hi:
         mid = (lo + hi) // 2
         if all(-(-h // mid) - (-t // mid) <= limit for h, t in zip(heads, tails)):
@@ -362,14 +369,17 @@ def _descend(rows, where, loads):
     a most-loaded machine can move to another machine and end that
     machine's load below the makespan, the move with the smallest larger of
     the two new loads is made. Each move lowers the makespan or the number
-    of machines at it, so the loop ends."""
+    of machines at it, so the loop ends. The tasks of each machine are kept
+    in ascending lists, so a move scans only the most-loaded machine's."""
+    on = [[] for _ in loads]
+    for t, w in enumerate(where):
+        on[w].append(t)
     while True:
         peak = max(loads)
         top = loads.index(peak)
         move = None
-        for t, row in enumerate(rows):
-            if where[t] != top:
-                continue
+        for t in on[top]:
+            row = rows[t]
             for w, p in enumerate(row):
                 if w != top and loads[w] + p < peak:
                     key = max(loads[w] + p, peak - row[top])
@@ -381,6 +391,8 @@ def _descend(rows, where, loads):
         loads[top] -= rows[t][top]
         loads[w] += rows[t][w]
         where[t] = w
+        on[top].remove(t)
+        insort(on[w], t)
 
 
 def _repair(rows, packs):

@@ -292,7 +292,9 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     search first, so the first sweep starts near the frontier instead of
     walking down from a trivial line, and the search stops after the first
     sweep that finds no better cycle time: the calls that remain would
-    retry cycle times that the narrow beam has just failed to reach.
+    retry cycle times that the narrow beam has just failed to reach. When
+    no sweep beat the polished construction, it is returned as it is, since
+    local search would find no move on it.
     """
     if params is None:
         params = IpbsParams()
@@ -305,8 +307,9 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     best = initial_upper_bound(inst, seeds.spawn(1)[0], params.gamma)
     if best is FAILED:
         raise InfeasibleInstanceError("no feasible assignment exists at any cycle time")
+    polished = None
     if params.hand_over:
-        best = local_search(inst, best)
+        best = polished = local_search(inst, best)
     c_up = best.cycle_time
 
     sweeps = 0
@@ -336,6 +339,8 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
                 break
         if params.hand_over and c_up == c_sweep:
             break
+    if best is polished:
+        return best  # already a local optimum of local_search's moves
     return local_search(inst, best)
 
 
@@ -349,13 +354,11 @@ def local_search(inst, sol):
     them critical."""
     m = inst.n_workers
     times = inst.times
+    pred_star, succ_star = inst.pred_star, inst.succ_star
     station_worker = list(sol.worker_order)
     station_tasks = [[] for _ in range(m)]
-    pos = [0] * inst.n_tasks
     for t, w in enumerate(sol.assignment):
-        s = station_worker.index(w)
-        station_tasks[s].append(t)
-        pos[t] = s
+        station_tasks[station_worker.index(w)].append(t)
 
     def load(s, w):
         return sum(times[t][w] for t in station_tasks[s])
@@ -366,16 +369,18 @@ def local_search(inst, sol):
 
     def fits(t, s, override):
         # t can run on station s's worker, with the tasks in override placed
-        # at the given stations, without breaking a precedence
+        # at the given stations, without breaking a precedence: no
+        # predecessor sits after s and no successor before it
         if times[t][station_worker[s]] == INFEASIBLE:
             return False
-        for p in iter_bits(inst.pred_star[t]):
-            if override.get(p, pos[p]) > s:
+        preds, succs = pred_star[t], succ_star[t]
+        moved = 0
+        for u, su in override.items():
+            bit = 1 << u
+            moved |= bit
+            if preds & bit and su > s or succs & bit and su < s:
                 return False
-        for q in iter_bits(inst.succ_star[t]):
-            if override.get(q, pos[q]) < s:
-                return False
-        return True
+        return not (preds & later[s] & ~moved or succs & earlier[s] & ~moved)
 
     def shifted(loads, t, a, b):
         # loads after task t moves from station a to station b
@@ -424,6 +429,11 @@ def local_search(inst, sol):
 
     loads = [load(s, station_worker[s]) for s in range(m)]
     while True:
+        # earlier[s] and later[s]: the task masks of the stations before and
+        # after s (stations hold disjoint tasks, so a sum is a union)
+        on = [sum(1 << t for t in tasks) for tasks in station_tasks]
+        earlier = [sum(on[:s]) for s in range(m)]
+        later = [sum(on[s + 1 :]) for s in range(m)]
         base = rank(loads)
         found = next((mv for mv in moves(base[0]) if rank(mv[0]) < base), None)
         if found is None:
@@ -432,7 +442,6 @@ def local_search(inst, sol):
         for t, a, b in shifts:
             station_tasks[a].remove(t)
             station_tasks[b].append(t)
-            pos[t] = b
         if swapped:
             a, b = swapped
             station_worker[a], station_worker[b] = station_worker[b], station_worker[a]

@@ -11,22 +11,27 @@ from alwabp import (
     CycleError,
     EnumerationLimitError,
     Instance,
-    SearchState,
-    WorkerOrderGraph,
-    apply_reduction_rules,
     branch_and_bound,
     brute_force_optimal,
     check_solution_against_model,
     generate_instance,
     parse_instance,
-    select_branch_task,
-    set_assignment,
     transitive_closure,
     validate_solution,
     write_instance,
 )
 from alwabp import bnb, bounds, cli, heuristic
-from alwabp.bnb import FEASIBLE_TIME_LIMIT, INFEASIBLE_STATUS, OPTIMAL, _node_bound
+from alwabp.bnb import (
+    FEASIBLE_TIME_LIMIT,
+    INFEASIBLE_STATUS,
+    OPTIMAL,
+    SearchState,
+    WorkerOrderGraph,
+    _node_bound,
+    apply_reduction_rules,
+    select_branch_task,
+    set_assignment,
+)
 from alwabp.instance import iter_bits, topological_order
 from conftest import count_calls, random_instance, scale_instance
 
@@ -218,6 +223,68 @@ class TestSetUnset:
         assert grandchild.fingerprint() != mid
         assert child.fingerprint() == mid
         assert state.fingerprint() == base
+
+
+def recomputed_caches(state):
+    """Every cached field of a node, rebuilt from its matrix and assignment
+    alone, in SearchState.fingerprint's order after the first five."""
+    inst = state.inst
+    n, m = inst.n_tasks, inst.n_workers
+    asg = state.assignment
+    p_min = [min(row) for row in state.eff]
+    heads = [p_min[t] + sum(p_min[a] for a, b in inst.closure if b == t) for t in range(n)]
+    tails = [p_min[t] + sum(p_min[b] for a, b in inst.closure if a == t) for t in range(n)]
+    feasible = [sum(1 << t for t in range(n) if not math.isinf(state.eff[t][w])) for w in range(m)]
+
+    def workers(pairs, t, ahead):
+        # workers holding an assigned task u with (u, t) in pairs when
+        # ahead, with (t, u) otherwise
+        return bits({asg[u] for u in range(n) if u in asg and ((u, t) if ahead else (t, u)) in pairs})
+
+    return (
+        tuple(p_min),
+        sum(p_min),
+        tuple(heads),
+        tuple(tails),
+        tuple(feasible),
+        tuple(workers(inst.edges, t, True) for t in range(n)),
+        tuple(workers(inst.edges, t, False) for t in range(n)),
+        tuple(workers(inst.closure, t, True) for t in range(n)),
+        tuple(workers(inst.closure, t, False) for t in range(n)),
+    )
+
+
+class TestNodeCaches:
+    """What a node keeps current (row minima and their sum, LC3 heads and
+    tails, feasible-cell masks, neighbour-worker masks) always equals a
+    fresh computation, and a child never touches its parent's copy."""
+
+    def test_caches_match_a_fresh_computation(self):
+        steps = dead = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            inst = random_instance(seed, n_tasks=rng.randint(8, 20), n_workers=rng.randint(2, 5))
+            gub = rng.choice([math.inf, int(1.2 * bounds.lc1(inst)) + 1])
+            state = SearchState(inst)
+            assert state.fingerprint()[5:] == recomputed_caches(state)
+            while len(state.assignment) < inst.n_tasks:
+                t = rng.choice([t for t in range(inst.n_tasks) if t not in state.assignment])
+                w = rng.choice([w for w in range(inst.n_workers) if not math.isinf(state.eff[t][w])])
+                before = state.fingerprint()
+                child = state.child()
+                alive = set_assignment(child, t, w)
+                if alive and rng.random() < 0.8:
+                    alive = not apply_reduction_rules(child, t, w, gub)
+                assert state.fingerprint() == before
+                if not alive:
+                    dead += 1
+                    if rng.random() < 0.5:
+                        break
+                    continue
+                assert child.fingerprint()[5:] == recomputed_caches(child)
+                state = child
+                steps += 1
+        assert steps > 200 and dead > 10
 
 
 class TestReductionRules:
@@ -475,6 +542,13 @@ class TestWarmStart:
         start = max(root, math.floor(heuristic.DEFAULT_INTERVAL_FACTOR * polished))
         assert [c for c, _ in calls[1:]] == list(range(polished - 1, start - 1, -1))
         assert all(sol is heuristic.FAILED for _, sol in calls[1:])
+
+    def test_unbeaten_polish_is_not_searched_again(self, monkeypatch):
+        # no sweep beats the polished start here (see above), so it is the
+        # warm start's result, and local search ran on it once, not twice
+        searches = count_calls(monkeypatch, heuristic, "local_search")
+        branch_and_bound(random_instance(6, n_tasks=12, n_workers=3))
+        assert len(searches) == 1
 
 
 class TestBranchAndBound:

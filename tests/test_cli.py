@@ -113,6 +113,13 @@ GOLDEN_SOLVES = [
     "tests/golden/solve_12x3_1203.alwabp",
     "tests/golden/solve_12x3_1204.alwabp",
 ]
+# three instances of the paper-scale set (see test_results_pinned_at_paper_scale
+# in tests/test_bnb.py), where the search takes 900-3000 nodes
+GOLDEN_PAPER_SOLVES = [
+    "tests/golden/paper_28x4_low_91.alwabp",
+    "tests/golden/paper_28x7_high_91.alwabp",
+    "tests/golden/paper_40x6_low_91.alwabp",
+]
 
 
 def assert_matches_golden(path, argv, kind, monkeypatch, variant=""):
@@ -132,11 +139,11 @@ class TestGoldenSolve:
     into tests/golden/<name>.solve.json. The 12x3 instances also have
     reports with --no-reduction-rules and with --no-heuristic added, in
     <name>.solve-no-reduction-rules.json and <name>.solve-no-heuristic.json:
-    the search with no rules, and from no incumbent. A change to node
-    counts, bounds or the solution found shows up here as a diff to
-    explain."""
+    the search with no rules, and from no incumbent. The paper-scale
+    instances have the default report only. A change to node counts,
+    bounds or the solution found shows up here as a diff to explain."""
 
-    @pytest.mark.parametrize("path", GOLDEN_SOLVES)
+    @pytest.mark.parametrize("path", GOLDEN_SOLVES + GOLDEN_PAPER_SOLVES)
     def test_report_matches_golden(self, path, monkeypatch):
         assert_matches_golden(path, ["--seed", "42"], "solve", monkeypatch)
 

@@ -14,19 +14,17 @@ from alwabp import (
     Instance,
     IpbsParams,
     InfeasibleInstanceError,
-    SearchState,
     all_bounds,
-    apply_reduction_rules,
     lc1,
     beam_search_feasible,
     brute_force_optimal,
     initial_upper_bound,
     ipbs,
     local_search,
-    set_assignment,
     validate_solution,
 )
 from alwabp import Solution, heuristic
+from alwabp.bnb import SearchState, apply_reduction_rules, set_assignment
 from alwabp.heuristic import _UNIFORM_BLOCK, _draw, _fill_station, _rlb_sum
 from alwabp.instance import iter_bits
 from conftest import count_calls, random_instance, scale_instance
