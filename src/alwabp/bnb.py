@@ -33,6 +33,7 @@ from .instance import (
 
 OPTIMAL = "optimal"
 FEASIBLE_TIME_LIMIT = "feasible_time_limit"
+TIME_LIMIT = "time_limit"  # the deadline stopped a search that holds no solution
 INFEASIBLE_STATUS = "infeasible"
 
 ORACLE_LEAF_LIMIT = 10**8
@@ -49,9 +50,6 @@ class WorkerOrderGraph:
     def __init__(self, n):
         self.n = n
         self.rows = [0] * n
-
-    def has(self, v, w):
-        return bool(self.rows[v] >> w & 1)
 
     def copy(self):
         graph = WorkerOrderGraph(self.n)
@@ -92,7 +90,8 @@ class SearchState:
 
     - p_min[t], the minimum of eff[t], and total, their sum (mark_infeasible);
     - heads[t] and tails[t], p_min[t] plus p_min over t's transitive
-      predecessors and successors, LC3's inputs (mark_infeasible);
+      predecessors and successors, LC3's inputs: the root's are a copy of
+      the instance's heads_tails, and mark_infeasible raises them;
     - feasible[w], the task mask of the cells on worker w that are not
       excluded (mark_infeasible);
     - per task, the masks of the workers holding an assigned direct
@@ -100,8 +99,9 @@ class SearchState:
       over all transitive ones (pred_star_workers, succ_star_workers)
       (_assign).
 
-    The caches of a dead node, one a rule has emptied a row of, are not
-    kept: the search drops it.
+    The updates walk the instance's relation_lists. The caches of a dead
+    node, one a rule has emptied a row of, are not kept: the search drops
+    it.
     """
 
     def __init__(self, inst):
@@ -114,24 +114,16 @@ class SearchState:
         self.order_graph = WorkerOrderGraph(m)
         self.p_min = list(inst.min_times)
         self.total = sum(self.p_min)
-        self.heads, self.tails = lb._heads_tails(inst, self.p_min)
+        self.heads, self.tails = map(list, inst.heads_tails)
         self.feasible = [sum(1 << t for t in range(n) if inst.times[t][w] != INFEASIBLE) for w in range(m)]
         self.pred_workers = [0] * n
         self.succ_workers = [0] * n
         self.pred_star_workers = [0] * n
         self.succ_star_workers = [0] * n
-        # the direct successors and predecessors of each task, then the
-        # transitive ones, as lists of task indices: the cache updates walk
-        # them, and all nodes of a search share them (read only)
-        self.related = [
-            [list(iter_bits(mask)) for mask in masks]
-            for masks in (inst.succ_mask, inst.pred_mask, inst.succ_star, inst.pred_star)
-        ]
 
     def child(self):
         node = SearchState.__new__(SearchState)
         node.inst = self.inst
-        node.related = self.related
         node.eff = [row[:] for row in self.eff]
         node.assignment = dict(self.assignment)
         node.on_worker = self.on_worker[:]
@@ -165,7 +157,7 @@ class SearchState:
         if rise:
             self.p_min[t] = low
             self.total += rise
-            _, _, succ_star, pred_star = self.related
+            _, _, succ_star, pred_star = self.inst.relation_lists
             heads, tails = self.heads, self.tails
             heads[t] += rise
             tails[t] += rise
@@ -174,24 +166,6 @@ class SearchState:
             for u in pred_star[t]:
                 tails[u] += rise
         return True
-
-    def fingerprint(self):
-        return (
-            tuple(map(tuple, self.eff)),
-            tuple(self.loads),
-            tuple(sorted(self.assignment.items())),
-            tuple(self.on_worker),
-            tuple(self.order_graph.rows),
-            tuple(self.p_min),
-            self.total,
-            tuple(self.heads),
-            tuple(self.tails),
-            tuple(self.feasible),
-            tuple(self.pred_workers),
-            tuple(self.succ_workers),
-            tuple(self.pred_star_workers),
-            tuple(self.succ_star_workers),
-        )
 
 
 def set_assignment(state, t, w):
@@ -219,7 +193,7 @@ def _assign(state, t, w):
     state.assignment[t] = w
     state.on_worker[w] |= 1 << t
     state.loads[w] += inst.times[t][w]
-    succ, pred, succ_star, pred_star = state.related
+    succ, pred, succ_star, pred_star = inst.relation_lists
     for masks, tasks in (
         (state.pred_workers, succ[t]),
         (state.succ_workers, pred[t]),
@@ -503,7 +477,7 @@ def branch_and_bound(inst, config=None):
     try:
         search.run(root_lb)
     except _TimeUp:
-        status = FEASIBLE_TIME_LIMIT
+        status = FEASIBLE_TIME_LIMIT if search.incumbent is not None else TIME_LIMIT
     if status == OPTIMAL and search.incumbent is None:
         status = INFEASIBLE_STATUS
     value = search.incumbent.cycle_time if search.incumbent is not None else None

@@ -93,7 +93,7 @@ def _lc2(p_desc, m):
 def station_windows(inst, cycle_time):
     """Earliest and latest feasible station of each task at a candidate
     cycle time, both 1-based. The window may be empty (earliest > latest)."""
-    heads, tails = _heads_tails(inst, inst.min_times)
+    heads, tails = inst.heads_tails
     m = inst.n_workers
     return StationWindow(
         tuple(_ceil_div(h, cycle_time) for h in heads),
@@ -101,37 +101,22 @@ def station_windows(inst, cycle_time):
     )
 
 
-def _heads_tails(inst, p):
-    """Per task, its time p plus the times of all its transitive
-    predecessors (heads) and of all its transitive successors (tails), as
-    lists of ints; one product each with the instance's reach matrix."""
-    p = np.asarray(p, dtype=np.int64)
-    reach = inst.reach_matrix
-    return (p @ reach).tolist(), (reach @ p).tolist()
-
-
 def lc3(inst):
     """Smallest cycle time for which every task has a non-empty station window."""
     p = inst.min_times
     lo = max(1, max(p))
-    return _lc3(inst, p, lo, max(lo, sum(p)))
-
-
-def _lc3(inst, p, lo, hi):
-    """LC3 of the times p searched on the window [lo, hi] only: the smallest
-    c in it at which every task has a non-empty station window, or hi if
-    there is none, which is min(max(LC3, lo), hi) for lo >= max(1, max(p)).
-    Task t's window at c is non-empty when ceil(head_t / c) + ceil(tail_t / c)
-    <= m + 1, and that only gets easier as c grows. A node bound asks only
-    whether LC3 reaches the incumbent, so it passes the value it already has
-    and the incumbent as the window; the root lc3 passes the full range."""
-    heads, tails = _heads_tails(inst, p)
-    return _lc3_search(heads, tails, inst.n_workers, lo, hi)
+    heads, tails = inst.heads_tails
+    return _lc3_search(heads, tails, inst.n_workers, lo, max(lo, sum(p)))
 
 
 def _lc3_search(heads, tails, m, lo, hi):
-    """The binary search of _lc3 on given heads and tails, for a caller
-    that keeps them current itself."""
+    """LC3 searched on the window [lo, hi] only: the smallest c in it at
+    which ceil(heads[t] / c) + ceil(tails[t] / c) <= m + 1 for every task t
+    (a non-empty station window, which only gets easier as c grows), or hi
+    if there is none. That is min(max(LC3, lo), hi) for lo >= max(1, max of
+    the times). The root lc3 passes the full range; a node bound, which only
+    asks whether LC3 reaches the incumbent, passes the value it already has
+    and the incumbent, with the heads and tails it keeps current."""
     limit = m + 1
     while lo < hi:
         mid = (lo + hi) // 2

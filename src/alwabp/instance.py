@@ -137,7 +137,8 @@ class Instance:
     The same relations are held per task as int bitmasks: succ_mask[t] and
     pred_mask[t] have a bit for each direct successor and predecessor of t
     (under `edges`), succ_star[t] and pred_star[t] one for each transitive
-    one (under `closure`).
+    one (under `closure`). The views the solvers derive from them are built
+    on first use and kept: heads_tails, relation_lists and beam_tables.
     """
 
     def __init__(self, times, edges):
@@ -179,15 +180,25 @@ class Instance:
         return BeamTables(self)
 
     @cached_property
-    def reach_matrix(self):
-        """int64 (n, n) matrix with 1 at [a, b] when a == b or (a, b) is in
-        the closure: p @ it sums each task's time p with its transitive
-        predecessors', it @ p with its transitive successors'."""
+    def heads_tails(self):
+        """(heads, tails): per task, as tuples of ints, its minimum time plus
+        those of all its transitive predecessors (heads) or successors
+        (tails). LC3 reads both; the tail is the beam's positional weight."""
         reach = np.eye(self.n_tasks, dtype=np.int64)
         if self.closure:
             reach[tuple(zip(*self.closure))] = 1
-        reach.setflags(write=False)
-        return reach
+        p = np.array(self.min_times, dtype=np.int64)
+        return tuple((p @ reach).tolist()), tuple((reach @ p).tolist())
+
+    @cached_property
+    def relation_lists(self):
+        """(succ, pred, succ_star, pred_star): per task, the set bits of
+        succ_mask, pred_mask, succ_star and pred_star as an ascending list.
+        Callers only read them."""
+        return tuple(
+            tuple(list(iter_bits(mask)) for mask in masks)
+            for masks in (self.succ_mask, self.pred_mask, self.succ_star, self.pred_star)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -219,12 +230,12 @@ class BeamTables:
     fit_masks[w][k] the bit mask of the tasks behind its first k entries, so
     the tasks that take at most r on w are
     fit_masks[w][bisect_right(fit_times[w], r)]. pw[t] is task t's minimum
-    positional weight: its own minimum time plus that of all successors.
-    pw_chunks[k][b] is the pw sum of the tasks 8k + i for the set bits i of
-    byte b, so the weight of a task mask is the sum of one lookup per byte;
-    it holds 256 ints per 8 tasks, 256 * ceil(n / 8) in all. successors[t]
-    is the tuple of t's direct successors, ascending: the fill loop walks it
-    once per placed task, faster than the bits of succ_mask[t].
+    positional weight, its tail in Instance.heads_tails. pw_chunks[k][b] is
+    the pw sum of the tasks 8k + i for the set bits i of byte b, so the
+    weight of a task mask is the sum of one lookup per byte; it holds 256
+    ints per 8 tasks, 256 * ceil(n / 8) in all. successors[t] is the list
+    of t's direct successors, ascending, from Instance.relation_lists: the
+    fill loop walks it once per placed task.
 
     row_minima memoises, per mask of remaining workers, each task's minimum
     time over those workers. It holds at most one row of n ints per worker
@@ -243,10 +254,9 @@ class BeamTables:
                 masks.append(masks[-1] | 1 << t)
             self.fit_times.append(tuple(p for p, _ in pairs))
             self.fit_masks.append(tuple(masks))
-        p = inst.min_times
-        self.pw = tuple(p[t] + sum(p[j] for j in iter_bits(inst.succ_star[t])) for t in range(inst.n_tasks))
+        self.pw = inst.heads_tails[1]
         self.pw_chunks = tuple(_byte_sums(self.pw[k : k + 8]) for k in range(0, inst.n_tasks, 8))
-        self.successors = tuple(tuple(iter_bits(mask)) for mask in inst.succ_mask)
+        self.successors = inst.relation_lists[0]
         self._times = inst.times
         self._rows = {}
 
@@ -304,6 +314,11 @@ def validate_solution(inst, sol):
         return problems
     if len(sol.assignment) != inst.n_tasks:
         problems.append("assignment does not cover all tasks")
+        return problems
+    for t, w in enumerate(sol.assignment):
+        if not 0 <= w < inst.n_workers:
+            problems.append(f"task {t + 1} assigned to unknown worker {w + 1}")
+    if problems:
         return problems
     station = [0] * inst.n_workers
     for s, w in enumerate(sol.worker_order):

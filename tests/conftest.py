@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from alwabp import INFEASIBLE, Instance, brute_force_optimal, generate_instance, parse_instance
+from alwabp.instance import iter_bits
 
 FIG1_TEXT = """\
 alwabp 1
@@ -63,6 +64,15 @@ def closure_by_reachability(edges, n):
                 reach.add((a, d))
                 changed = True
     return reach
+
+
+def star_sums(inst, p):
+    """(heads, tails) of the times p, as lists: per task t, p[t] plus the
+    sum of p over the bits of pred_star[t] (heads) or succ_star[t] (tails)."""
+    n = inst.n_tasks
+    heads = [p[t] + sum(p[j] for j in iter_bits(inst.pred_star[t])) for t in range(n)]
+    tails = [p[t] + sum(p[j] for j in iter_bits(inst.succ_star[t])) for t in range(n)]
+    return heads, tails
 
 
 def rcmax_optimal(inst):

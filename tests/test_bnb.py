@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import time
@@ -25,6 +26,7 @@ from alwabp.bnb import (
     FEASIBLE_TIME_LIMIT,
     INFEASIBLE_STATUS,
     OPTIMAL,
+    TIME_LIMIT,
     SearchState,
     WorkerOrderGraph,
     _node_bound,
@@ -33,11 +35,24 @@ from alwabp.bnb import (
     set_assignment,
 )
 from alwabp.instance import iter_bits, topological_order
-from conftest import count_calls, random_instance, scale_instance
+from conftest import count_calls, random_instance, scale_instance, star_sums
+
+
+def has_arc(h, v, w):
+    return bool(h.rows[v] >> w & 1)
 
 
 def graph_arcs(h):
-    return {(v, w) for v in range(h.n) for w in range(h.n) if h.has(v, w)}
+    return {(v, w) for v in range(h.n) for w in range(h.n) if has_arc(h, v, w)}
+
+
+def snapshot(state):
+    """A copy of every field of a node, the worker order graph as its rows;
+    the instance, which all nodes share read only, is left out."""
+    fields = dict(vars(state))
+    del fields["inst"]
+    fields["order_graph"] = fields["order_graph"].rows
+    return copy.deepcopy(fields)
 
 
 def bits(workers):
@@ -49,9 +64,9 @@ class TestWorkerOrderGraph:
         h = WorkerOrderGraph(4)
         assert h.link(bits([0]), 1, 0)
         assert h.link(0, 1, bits([2]))
-        assert h.has(0, 2)
+        assert has_arc(h, 0, 2)
         assert h.link(bits([2]), 3, 0)
-        assert h.has(0, 3) and h.has(1, 3)
+        assert has_arc(h, 0, 3) and has_arc(h, 1, 3)
         assert h.rows == [bits([1, 2, 3]), bits([2, 3]), bits([3]), 0]
 
     def test_cycle_link_changes_nothing(self):
@@ -91,7 +106,7 @@ class TestWorkerOrderGraph:
                 assert all(order.index(v) < order.index(w) for v, w in graph_arcs(h))
                 # a backward arc closes a cycle whenever its ends are linked
                 v, x = rng.randrange(m), rng.randrange(m)
-                if v != x and h.has(v, x):
+                if v != x and has_arc(h, v, x):
                     rows = list(h.rows)
                     assert not h.link(bits([x]), v, 0)
                     assert h.rows == rows
@@ -109,11 +124,11 @@ class TestAssignmentValidity:
         assert set_assignment(state, 0, 0)  # t1 on w1
         assert set_assignment(state.child(), 1, 1)  # t2 on w2 is fine
         assert set_assignment(state, 1, 1)
-        assert state.order_graph.has(0, 1)
+        assert has_arc(state.order_graph, 0, 1)
         # t5 follows t2 (on w2), so w1 would need to come after w2 too
         child = state.child()
         assert not set_assignment(child, 4, 0)
-        assert child.fingerprint() == state.fingerprint()
+        assert snapshot(child) == snapshot(state)
 
     def test_opposite_direction_allowed(self, fig1):
         state = SearchState(fig1)
@@ -168,24 +183,24 @@ class TestSetUnset:
 
     def test_fingerprint_roundtrip(self, fig1):
         state = SearchState(fig1)
-        before = state.fingerprint()
+        before = snapshot(state)
         child = state.child()
-        assert child.fingerprint() == before
+        assert snapshot(child) == before
         set_assignment(child, 0, 2)
         assert not apply_reduction_rules(child, 0, 2, gub=7)
-        assert child.fingerprint() != before
-        assert state.fingerprint() == before
+        assert snapshot(child) != before
+        assert snapshot(state) == before
 
     def test_assignment_pins_its_row(self, fig1):
         # R1 without the reduction rules: t2 on w2 leaves t2 no other cell
         state = SearchState(fig1)
-        before = state.fingerprint()
+        before = snapshot(state)
         child = state.child()
         set_assignment(child, 1, 1)
         assert math.isinf(child.eff[1][0]) and math.isinf(child.eff[1][2])
         assert child.eff[1][1] == 5
         assert min(child.eff[1]) == 5
-        assert state.fingerprint() == before
+        assert snapshot(state) == before
         assert list(state.eff[1]) == [4, 5, 4]
 
     def test_rules_propagate_the_pin(self):
@@ -203,31 +218,41 @@ class TestSetUnset:
         state = SearchState(fig1)
         set_assignment(state, 0, 2)
         set_assignment(state, 1, 0)
-        assert state.order_graph.has(2, 0)
+        assert has_arc(state.order_graph, 2, 0)
 
     def test_closure_edge_creates_arc(self, fig1):
         state = SearchState(fig1)
         set_assignment(state, 0, 2)
         set_assignment(state, 5, 1)  # (t1, t6) is only in the closure
-        assert state.order_graph.has(2, 1)
+        assert has_arc(state.order_graph, 2, 1)
 
     def test_nested_frames(self, fig1):
         state = SearchState(fig1)
-        base = state.fingerprint()
+        base = snapshot(state)
         child = state.child()
         set_assignment(child, 0, 2)
-        mid = child.fingerprint()
+        mid = snapshot(child)
         grandchild = child.child()
         set_assignment(grandchild, 1, 0)
         apply_reduction_rules(grandchild, 1, 0, gub=7)
-        assert grandchild.fingerprint() != mid
-        assert child.fingerprint() == mid
-        assert state.fingerprint() == base
+        assert snapshot(grandchild) != mid
+        assert snapshot(child) == mid
+        assert snapshot(state) == base
+
+
+# the fields of a node that are not caches of the others
+BASE_FIELDS = ("eff", "assignment", "on_worker", "loads", "order_graph")
+
+
+def node_caches(state):
+    """The fields of snapshot(state) other than BASE_FIELDS."""
+    return {name: value for name, value in snapshot(state).items() if name not in BASE_FIELDS}
 
 
 def recomputed_caches(state):
     """Every cached field of a node, rebuilt from its matrix and assignment
-    alone, in SearchState.fingerprint's order after the first five."""
+    alone; a field added to SearchState fails the comparison with
+    node_caches until it is rebuilt here too."""
     inst = state.inst
     n, m = inst.n_tasks, inst.n_workers
     asg = state.assignment
@@ -241,17 +266,17 @@ def recomputed_caches(state):
         # ahead, with (t, u) otherwise
         return bits({asg[u] for u in range(n) if u in asg and ((u, t) if ahead else (t, u)) in pairs})
 
-    return (
-        tuple(p_min),
-        sum(p_min),
-        tuple(heads),
-        tuple(tails),
-        tuple(feasible),
-        tuple(workers(inst.edges, t, True) for t in range(n)),
-        tuple(workers(inst.edges, t, False) for t in range(n)),
-        tuple(workers(inst.closure, t, True) for t in range(n)),
-        tuple(workers(inst.closure, t, False) for t in range(n)),
-    )
+    return {
+        "p_min": p_min,
+        "total": sum(p_min),
+        "heads": heads,
+        "tails": tails,
+        "feasible": feasible,
+        "pred_workers": [workers(inst.edges, t, True) for t in range(n)],
+        "succ_workers": [workers(inst.edges, t, False) for t in range(n)],
+        "pred_star_workers": [workers(inst.closure, t, True) for t in range(n)],
+        "succ_star_workers": [workers(inst.closure, t, False) for t in range(n)],
+    }
 
 
 class TestNodeCaches:
@@ -266,25 +291,44 @@ class TestNodeCaches:
             inst = random_instance(seed, n_tasks=rng.randint(8, 20), n_workers=rng.randint(2, 5))
             gub = rng.choice([math.inf, int(1.2 * bounds.lc1(inst)) + 1])
             state = SearchState(inst)
-            assert state.fingerprint()[5:] == recomputed_caches(state)
+            assert node_caches(state) == recomputed_caches(state)
             while len(state.assignment) < inst.n_tasks:
                 t = rng.choice([t for t in range(inst.n_tasks) if t not in state.assignment])
                 w = rng.choice([w for w in range(inst.n_workers) if not math.isinf(state.eff[t][w])])
-                before = state.fingerprint()
+                before = snapshot(state)
                 child = state.child()
                 alive = set_assignment(child, t, w)
                 if alive and rng.random() < 0.8:
                     alive = not apply_reduction_rules(child, t, w, gub)
-                assert state.fingerprint() == before
+                assert snapshot(state) == before
                 if not alive:
                     dead += 1
                     if rng.random() < 0.5:
                         break
                     continue
-                assert child.fingerprint()[5:] == recomputed_caches(child)
+                assert node_caches(child) == recomputed_caches(child)
                 state = child
                 steps += 1
         assert steps > 200 and dead > 10
+
+    def test_search_leaves_the_instance_views_as_built(self):
+        # every node, the root included, raises its own copy of the heads
+        # and tails, never the instance's, which LC3 and the beam search read
+        nodes = 0
+        for seed in range(5):
+            inst = random_instance(seed, n_tasks=12, n_workers=3)
+            heads, tails = star_sums(inst, inst.min_times)
+            nodes += branch_and_bound(inst, BnbConfig(heuristic_on=False)).nodes
+            root = SearchState(inst)
+            for t in range(inst.n_tasks):
+                if t in root.assignment:
+                    continue
+                w = max(w for w, p in enumerate(root.eff[t]) if p != INFEASIBLE)
+                if not set_assignment(root, t, w) or apply_reduction_rules(root, t, w, math.inf):
+                    break
+            assert root.heads != heads
+            assert [list(view) for view in inst.heads_tails] == [heads, tails]
+        assert nodes > 20
 
 
 class TestReductionRules:
@@ -342,7 +386,7 @@ class TestReductionRules:
         state = SearchState(fig1)
         set_assignment(state, 0, 0)
         assert not apply_reduction_rules(state, 0, 0, gub=7)
-        before = state.fingerprint()
+        before = snapshot(state)
         dead = 0
         for t in range(fig1.n_tasks):
             for w in range(fig1.n_workers):
@@ -351,7 +395,7 @@ class TestReductionRules:
                 child = state.child()
                 if set_assignment(child, t, w):
                     dead += apply_reduction_rules(child, t, w, gub=7)
-                assert state.fingerprint() == before
+                assert snapshot(state) == before
         assert dead
 
 
@@ -376,11 +420,11 @@ def reference_branch_choice(state, gub):
             cyclic = False
             for u in iter_bits(inst.pred_mask[t]):
                 v = state.assignment.get(u)
-                if v is not None and v != w and state.order_graph.has(w, v):
+                if v is not None and v != w and has_arc(state.order_graph, w, v):
                     cyclic = True
             for u in iter_bits(inst.succ_mask[t]):
                 x = state.assignment.get(u)
-                if x is not None and x != w and state.order_graph.has(x, w):
+                if x is not None and x != w and has_arc(state.order_graph, x, w):
                     cyclic = True
             if cyclic:
                 infeasible += 1
@@ -469,7 +513,8 @@ class TestNodeBound:
             p = [int(min(row)) for row in state.eff]
             m = inst.n_workers
             before = max(max(state.loads), max(p), -(-sum(p) // m), bounds._lc2(sorted(p, reverse=True), m))
-            full = max(before, bounds._lc3(inst, p, max(p), max(max(p), sum(p))))
+            heads, tails = star_sums(inst, p)
+            full = max(before, bounds._lc3_search(heads, tails, m, max(p), max(max(p), sum(p))))
             decided_by_lc3 += full > before
             for gub in [*range(1, full + 3), math.inf]:
                 value = _node_bound(state, gub)
@@ -616,6 +661,15 @@ class TestBranchAndBound:
         assert result.status in (FEASIBLE_TIME_LIMIT, OPTIMAL)
         if result.status == FEASIBLE_TIME_LIMIT:
             assert result.solution is not None
+
+    def test_time_limit_without_a_solution(self):
+        # the deadline stops the search before any solution: a feasible
+        # instance searched from no incumbent, and an infeasible one
+        golden = Path(__file__).parent / "golden" / "paper_40x6_low_91.alwabp"
+        infeasible = Instance([[INFEASIBLE, 1], [1, INFEASIBLE], [INFEASIBLE, 1]], {(0, 1), (1, 2)})
+        for inst, heuristic_on in ((parse_instance(golden.read_text(encoding="ascii")), False), (infeasible, True)):
+            result = branch_and_bound(inst, BnbConfig(time_limit=0.0, heuristic_on=heuristic_on))
+            assert (result.status, result.solution, result.value) == (TIME_LIMIT, None, None)
 
     def test_time_limit_holds_at_scale(self):
         # the 70x10 instance of acceptance criterion 9; the warm start's own

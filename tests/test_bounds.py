@@ -17,8 +17,7 @@ from alwabp import (
     station_windows,
 )
 from alwabp.bounds import ALL_BOUNDS, DEFAULT_L1_ITERS, DEFAULT_L2_ITERS, NATIVE_BOUNDS
-from alwabp.instance import iter_bits
-from conftest import count_calls, rcmax_optimal, random_instance, scale_instance
+from conftest import count_calls, rcmax_optimal, random_instance, scale_instance, star_sums
 
 
 def permuted_workers(inst, perm):
@@ -84,11 +83,8 @@ def reference_windows(inst, p, c):
     """Station windows at cycle time c from star sums taken over the
     pred_star and succ_star masks, task by task."""
     m = inst.n_workers
-    pred = [sum(p[j] for j in iter_bits(inst.pred_star[t])) for t in range(inst.n_tasks)]
-    succ = [sum(p[j] for j in iter_bits(inst.succ_star[t])) for t in range(inst.n_tasks)]
-    earliest = [math.ceil((pred[t] + p[t]) / c) for t in range(inst.n_tasks)]
-    latest = [m + 1 - math.ceil((succ[t] + p[t]) / c) for t in range(inst.n_tasks)]
-    return earliest, latest
+    heads, tails = star_sums(inst, p)
+    return [math.ceil(h / c) for h in heads], [m + 1 - math.ceil(t / c) for t in tails]
 
 
 def reference_lc3(inst, p):
@@ -125,11 +121,11 @@ class TestLC3Window:
             for _ in range(10):
                 p = [int(x) for x in rng.integers(1, 30, inst.n_tasks)]
                 full = reference_lc3(inst, p)
+                heads, tails = star_sums(inst, p)
                 for _ in range(5):
                     lo = int(rng.integers(max(p), sum(p) + 3))
                     hi = lo + int(rng.integers(0, 2 * (full - lo) + 4 if full > lo else 4))
-                    assert bounds._lc3(inst, p, lo, hi) == min(max(full, lo), hi)
-                    assert bounds._lc3(inst, np.array(p), lo, hi) == min(max(full, lo), hi)
+                    assert bounds._lc3_search(heads, tails, inst.n_workers, lo, hi) == min(max(full, lo), hi)
 
 
 class TestLC3:

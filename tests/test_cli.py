@@ -63,6 +63,15 @@ class TestSolve:
         assert code == EXIT_INFEASIBLE
         assert "status infeasible" in text
 
+    def test_time_limit_without_a_solution(self, tmp_path):
+        # the deadline stops the search before it has a solution: neither
+        # infeasible nor feasible_time_limit, and still a success
+        path = tmp_path / "bad.alwabp"
+        path.write_text(INFEASIBLE_TEXT)
+        code, text = run(["solve", str(path), "--time-limit", "0", "--no-timings"])
+        assert code == EXIT_OK
+        assert "value none\nstatus time_limit\n" in text
+
 
 class TestHeur:
     def test_fig1(self, fig1_path):

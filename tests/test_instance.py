@@ -10,16 +10,26 @@ from alwabp import (
     GenerationError,
     Instance,
     ParseError,
+    Solution,
     brute_force_optimal,
     generate_instance,
     parse_instance,
     reverse_instance,
     transitive_closure,
     transitive_reduction,
+    validate_solution,
     write_instance,
 )
-from alwabp.instance import topological_order
-from conftest import FIG1_EDGES, FIG1_TEXT, SINGLE_TEXT, closure_by_reachability, random_instance, scale_instance
+from alwabp.instance import iter_bits, topological_order
+from conftest import (
+    FIG1_EDGES,
+    FIG1_TEXT,
+    SINGLE_TEXT,
+    closure_by_reachability,
+    random_instance,
+    scale_instance,
+    star_sums,
+)
 
 
 class TestParse:
@@ -221,11 +231,12 @@ class TestAdjacency:
                 for b in range(n):
                     assert (inst.pred_star[b] >> a) & 1 == (inst.succ_star[a] >> b) & 1
 
-    def test_reach_matrix_is_reflexive_closure(self):
+    def test_derived_views_match_the_masks(self):
         for inst in self.cases():
-            n = inst.n_tasks
-            expected = [[int(a == b or (a, b) in inst.closure) for b in range(n)] for a in range(n)]
-            assert inst.reach_matrix.tolist() == expected
+            heads, tails = star_sums(inst, inst.min_times)
+            assert inst.heads_tails == (tuple(heads), tuple(tails))
+            masks = (inst.succ_mask, inst.pred_mask, inst.succ_star, inst.pred_star)
+            assert inst.relation_lists == tuple(tuple(list(iter_bits(mask)) for mask in ms) for ms in masks)
 
 
 class TestReverse:
@@ -317,3 +328,19 @@ class TestInstanceValidation:
             Instance([[True, 2]], set())
         with pytest.raises(ValueError, match="base times"):
             generate_instance([2, True], set(), 2, "low", 0.0, seed=0)
+
+
+class TestValidateSolution:
+    OPTIMUM = ((2, 0, 1), (2, 0, 2, 0, 1, 1), 6)
+
+    def test_optimum_is_valid(self, fig1):
+        assert validate_solution(fig1, Solution(*self.OPTIMUM)) == []
+
+    @pytest.mark.parametrize("worker", [-1, 3, 7])
+    def test_unknown_worker_is_a_violation(self, fig1, worker):
+        # task 1 is on the last worker, which -1 would index; 3 (= n_workers)
+        # is past the end
+        order, assignment, value = self.OPTIMUM
+        assignment = (worker, *assignment[1:])
+        problems = validate_solution(fig1, Solution(order, assignment, value))
+        assert problems == [f"task 1 assigned to unknown worker {worker + 1}"]
