@@ -14,7 +14,8 @@ hands U from step to step: the descent schedule S to start with, lowered
 by the schedules the bounds build anyway (L2's knapsack packings,
 repaired, and each ascent iteration's cheapest-machine assignment). A
 bound that reaches U has its final value, so L2's iterations and the
-ascent stop there, and L1a needs no knapsack once L1 has reached it.
+ascent stop there, and L1a needs no knapsack once L1 has reached it. The
+knapsacks of L2 and L1a stop at capacity U.
 """
 
 from __future__ import annotations
@@ -186,61 +187,75 @@ def _l1_of(dual_value, p_min_max):
 
 @dataclass(frozen=True)
 class _KnapsackPlan:
-    """Index plan of `_knapsack`, built once per weight matrix.
+    """Gather plan and layers of `_knapsack`, built once per weight matrix.
 
     Step k offers, on every row r whose weight weights[k, r] is at most the
-    capacity, one item of that weight; other cells are absent. Column j of
-    the kernel's table is capacity j - pad, and the pad columns hold -inf.
+    capacity, one item of that weight; other cells are absent. A layer has
+    shape (rows, width + 1): column 0 holds -inf and column j capacity
+    j - 1. Step k reads layer k and writes layer k + 1, and its index holds
+    the flat position in layer k that each cell (r, j) reads: capacity
+    j - 1 - weights[k, r] on row r, or column 0 for an absent cell, for a
+    capacity below the weight and for column 0 itself.
+
+    Memory is 16 bytes per DP cell (step, row, capacity): 8 for the intp
+    index and 8 for the float layer the step writes, so
+    16 * steps * rows * (width + 1) bytes in all. L2's capped tables are
+    only U + 1 wide; its full-width fallback (see _l2_value) makes them as
+    wide as the largest machine load, and L1a's (see _l1_additive) as wide
+    as the load of every task on its cheapest machine.
     """
 
     width: int  # capacities 0..width-1
-    pad: int  # the largest weight of a present cell
     present: np.ndarray  # (steps, rows) bool
-    starts: np.ndarray  # (steps, rows) first table column of a cell's source
+    layers: np.ndarray  # (steps + 1, rows, width + 1) float
+    steps: list  # per step: (layer k flat, index, layer k, layer k + 1)
 
 
 def _knapsack_plan(weights, capacity):
     present = weights <= capacity
-    w = np.where(present, weights, 0).astype(np.int32)
-    pad = int(w.max(initial=0))
-    return _KnapsackPlan(capacity + 1, pad, present, pad - w)
+    n_steps, rows = weights.shape
+    width = capacity + 1
+    w = np.where(present, weights, width + 1).astype(np.intp)
+    index = np.arange(width + 1) - w[:, :, None]
+    np.maximum(index, 0, out=index)
+    index += (np.arange(rows) * (width + 1))[:, None]
+    layers = np.empty((n_steps + 1, rows, width + 1))
+    layers[0] = 0.0
+    layers[:, :, 0] = -np.inf
+    steps = list(zip(layers.reshape(n_steps + 1, -1), index, layers, layers[1:]))
+    return _KnapsackPlan(width, present, layers, steps)
 
 
-def _knapsack(plan, profits, took=None):
+def _knapsack(plan, profits):
     """0/1 knapsack for every capacity 0..width-1 on all rows at once.
 
-    Rows are independent knapsacks; each row takes its items in step order,
-    and one step updates every row with one gather, add, compare and max
-    over an array of shape (rows, width). An absent cell gets profit -inf,
-    and a present one reads -inf from the pad at capacities below its
-    weight, so neither changes the row there, and every other cell is
-    computed by the same float operations as a 1-D DP over that row's items
-    alone. The cost is O(steps * rows * width) cell updates.
+    Rows are independent knapsacks; each row takes its items in step order.
+    One step is three calls over an array of shape (rows, width + 1): a
+    gather of layer k through the step's index into layer k + 1, an add of
+    the step's profits and a max with layer k. An absent cell, and a present
+    one at capacities below its weight, reads the -inf of column 0, so
+    neither changes the row there, and every other cell is computed by the
+    same float operations as a 1-D DP over that row's items alone. The cost
+    is O(steps * rows * width) cell updates.
 
-    `profits` broadcasts to (steps, rows). Returns the (rows, width) table of
-    best profits. If `took` is given, an array of shape (steps, rows, width),
-    its cell [k, r, c] is set to whether taking row r's item of step k
-    strictly improved capacity c. On a tie the item is not taken, so tracing
+    `profits` broadcasts to (steps, rows). Returns the plan's layers, filled
+    (the next call on the same plan overwrites them): layer 0 is 0, and the
+    last holds the best profits, capacity c in column c + 1. An item is
+    taken only if it strictly improves the value, so
+    layers[k + 1, r, c + 1] > layers[k, r, c + 1] says whether row r's best
+    subset at capacity c after step k takes the item of step k, and tracing
     back from the last step yields, among the best subsets of a row, the one
     that prefers items of lower steps.
     """
-    rows = plan.present.shape[1]
-    gains = np.where(plan.present, profits, -np.inf)[:, :, None]
-    table = np.zeros((rows, plan.pad + plan.width))
-    table[:, : plan.pad] = -np.inf
-    best = table[:, plan.pad :]
-    sources = np.lib.stride_tricks.sliding_window_view(table, plan.width, axis=1)
-    row_ids = np.arange(rows)
-    for k, (starts, gain) in enumerate(zip(plan.starts, gains)):
-        taken = sources[row_ids, starts]
-        taken += gain
-        if took is not None:
-            np.greater(taken, best, out=took[k])
-        np.maximum(best, taken, out=best)
-    return best
+    gains = np.broadcast_to(profits, plan.present.shape)[:, :, None]
+    for (source, index, prev, layer), gain in zip(plan.steps, gains):
+        source.take(index, out=layer, mode="clip")
+        layer += gain
+        np.maximum(prev, layer, out=layer)
+    return plan.layers
 
 
-def _l1_additive(times, l1, lam):
+def _l1_additive(times, l1, lam, upper):
     """Additive improvement of the cycle-constraint dual.
 
     With multipliers lam, any schedule of makespan c satisfies
@@ -251,6 +266,12 @@ def _l1_additive(times, l1, lam):
     machine (one `_knapsack` call over all machines, each movable task an
     item on its cheapest machine only), reused for every trial c of a binary
     search for the smallest c not proven impossible.
+
+    The knapsacks and the search stop at `upper`, U: L1a <= the
+    relaxation's optimum <= U, so U is not proven impossible, and the test
+    only gets easier as c grows, so the search below U finds the same c as
+    over the full range, on the same table cells. Should rounding fail the
+    test at U, the knapsacks are rebuilt over the full range.
     """
     n_tasks, m = times.shape
     finite = np.isfinite(times)
@@ -287,8 +308,9 @@ def _l1_additive(times, l1, lam):
     for w, items in enumerate(movable):
         for k, (p, g) in enumerate(items):
             weights[k, w], gains[k, w] = p, g
-    tables = _knapsack(_knapsack_plan(weights, hi), gains)
     totals = [float(np.array([g for _, g in items]).sum()) for items in movable]
+    cap = min(upper, hi)
+    tables = _knapsack(_knapsack_plan(weights, cap), gains)[-1, :, 1:]
 
     def passes(c):
         penalty = 0.0
@@ -296,13 +318,16 @@ def _l1_additive(times, l1, lam):
             rem = c - forced_sum[w]
             if rem < 0:
                 return False
-            penalty += totals[w] - tables[w][min(rem, hi)]
+            penalty += totals[w] - tables[w][min(rem, cap)]
         return phi + penalty <= c + 1e-9
 
-    if not passes(hi):
+    if cap < hi and not passes(cap):
+        cap = hi
+        tables = _knapsack(_knapsack_plan(weights, cap), gains)[-1, :, 1:]
+    if not passes(cap):
         # every c <= hi is proven impossible
         return max(l1, hi + 1)
-    a, b = lo, hi
+    a, b = lo, cap
     while a < b:
         mid = (a + b) // 2
         if passes(mid):
@@ -399,31 +424,33 @@ def _repair(rows, packs):
 
 
 def _l2_tables(times, capacity):
-    """Knapsack plan, traceback table and trace order of L2 at one width:
-    each task is one step, an item on every machine it fits."""
+    """Knapsack plan and trace order of L2 at one width: each task is one
+    step, an item on every machine it fits."""
     n_tasks, m = times.shape
     plan = _knapsack_plan(times, capacity)
-    took = np.zeros((n_tasks, m, plan.width), dtype=bool)
-    # per machine, last task first: (offset of took[t, w, 0], weight, task)
+    # per machine, last task first: (flat offset of capacity 0 of row w in
+    # the layers after step t, weight, task)
+    stride = plan.width + 1
     trace = [
-        [((t * m + w) * plan.width, int(times[t, w]), t) for t in range(n_tasks - 1, -1, -1) if plan.present[t, w]]
+        [((t * m + w) * stride + 1, int(times[t, w]), t) for t in range(n_tasks - 1, -1, -1) if plan.present[t, w]]
         for w in range(m)
     ]
-    return plan, took, trace
+    return plan, trace
 
 
 def _l2_cover(tables, mu_plus, target):
     """Smallest capacity c* whose knapsacks reach `target` (the table width
     if none does), and for each task the machines whose best subsets at c*
-    pack it."""
-    plan, took, trace = tables
-    best = _knapsack(plan, mu_plus[:, None], took)
+    pack it. The traceback reads one compare of consecutive layers, 2 more
+    bytes per DP cell while it runs (the bools and their bytes)."""
+    plan, trace = tables
+    layers = _knapsack(plan, mu_plus[:, None])
     g = np.zeros(plan.width)
-    for row in best:
+    for row in layers[-1, :, 1:]:
         g += row
     reached = np.flatnonzero(g >= target - 1e-9)
     c_star = int(reached[0]) if reached.size else plan.width
-    bits = took.tobytes()
+    bits = (layers[1:] > layers[:-1]).tobytes()
     packs = [[] for _ in mu_plus]
     for w, items in enumerate(trace):
         # trace back the subset behind the best profit at c_star
@@ -497,7 +524,7 @@ def _relaxation_bounds(times, l1_iters, l2_iters):
     l2, upper = _l2_value(times, l2_iters, upper)
     best_val, lam, upper = _l1_ascent(times, l1_iters, upper)
     l1 = _l1_of(best_val, int(times.min(axis=1).max()))
-    l1a = l1 if l1 >= upper else _l1_additive(times, l1, lam)
+    l1a = l1 if l1 >= upper else _l1_additive(times, l1, lam, upper)
     return {
         "L1": l1,
         "L1a": l1a,

@@ -164,18 +164,27 @@ def emit_model(inst, variant):
 
 @dataclass
 class Violation:
+    """A model row the solution violates, or, with no row (sense None), a
+    fault that leaves the rows without values."""
+
     name: str
-    lhs: int
-    sense: str
-    rhs: int
+    lhs: int | None = None
+    sense: str | None = None
+    rhs: int | None = None
 
     def __str__(self):
+        if self.sense is None:
+            return self.name
         return f"{self.name}: {self.lhs} {self.sense} {self.rhs}"
 
 
 def check_solution_against_model(inst, variant, sol):
     """Evaluate every constraint of the emitted model on a concrete solution;
-    returns the violated rows (empty for a valid solution)."""
+    returns the violated rows (empty for a valid solution). A worker_order
+    that is not a permutation of the workers gives the d variables no
+    values, so it is reported alone, as validate_solution reports it."""
+    if sorted(sol.worker_order) != list(range(inst.n_workers)):
+        return [Violation("worker_order is not a permutation of the workers")]
     spec = build_model(inst, variant)
     station = {w: s for s, w in enumerate(sol.worker_order)}
     values = {"C": sol.cycle_time}

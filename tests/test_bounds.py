@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from alwabp import (
     lc1,
     lc2,
     lc3,
+    parse_instance,
     station_windows,
 )
 from alwabp.bounds import ALL_BOUNDS, DEFAULT_L1_ITERS, DEFAULT_L2_ITERS, NATIVE_BOUNDS
@@ -207,6 +209,58 @@ class TestL2:
         assert bound_values(fig1, ("L2",), l2_iters=20) == bound_values(fig1, ("L2",), l2_iters=20)
 
 
+def reference_knapsack(weights, capacity, profits, took=None):
+    """The gather kernel that `_knapsack` replaced: capacity j of a row
+    lives in table column j + pad, the pad columns hold -inf, and a step
+    reads its sources through a sliding window at each cell's start column.
+    Returns the (rows, capacity + 1) best profits; `took[k, r, c]`, if
+    given, is set to whether step k's item strictly improved row r at c."""
+    present = weights <= capacity
+    w = np.where(present, weights, 0).astype(np.int32)
+    pad, width = int(w.max(initial=0)), capacity + 1
+    steps, rows = weights.shape
+    gains = np.where(present, np.broadcast_to(profits, (steps, rows)), -np.inf)[:, :, None]
+    table = np.zeros((rows, pad + width))
+    table[:, :pad] = -np.inf
+    best = table[:, pad:]
+    sources = np.lib.stride_tricks.sliding_window_view(table, width, axis=1)
+    row_ids = np.arange(rows)
+    for k, (starts, gain) in enumerate(zip(pad - w, gains)):
+        taken = sources[row_ids, starts]
+        taken += gain
+        if took is not None:
+            np.greater(taken, best, out=took[k])
+        np.maximum(best, taken, out=best)
+    return best
+
+
+def reference_l2_cover(times, capacity, mu_plus, target):
+    """`_l2_cover` on the gather kernel's tables and traceback."""
+    n_tasks, m = times.shape
+    width = capacity + 1
+    took = np.zeros((n_tasks, m, width), dtype=bool)
+    best = reference_knapsack(times, capacity, mu_plus[:, None], took)
+    g = np.zeros(width)
+    for row in best:
+        g += row
+    reached = np.flatnonzero(g >= target - 1e-9)
+    c_star = int(reached[0]) if reached.size else width
+    packs = [[] for _ in mu_plus]
+    for w in range(m):
+        c = min(c_star, width - 1)
+        for t in range(n_tasks - 1, -1, -1):
+            if times[t, w] <= capacity and took[t, w, c]:
+                packs[t].append(w)
+                c -= int(times[t, w])
+    return c_star, packs
+
+
+def kernel_tables(layers):
+    """The best profits of `_knapsack`'s layers, shape (rows, width), and
+    whether each step's item strictly improved each (row, capacity)."""
+    return layers[-1, :, 1:], layers[1:, :, 1:] > layers[:-1, :, 1:]
+
+
 class TestKnapsack:
     def test_matches_brute_force(self):
         # several rows per call: absent cells, items heavier than the
@@ -222,8 +276,7 @@ class TestKnapsack:
             # exact; every third case shares one profit per step across rows
             shape = (steps, 1) if case % 3 == 0 else (steps, rows)
             profits = rng.integers(0, 4, shape).astype(float)
-            took = np.zeros((steps, rows, capacity + 1), dtype=bool)
-            best = bounds._knapsack(bounds._knapsack_plan(weights, capacity), profits, took)
+            best, took = kernel_tables(bounds._knapsack(bounds._knapsack_plan(weights, capacity), profits))
             assert best.shape == (rows, capacity + 1)
             gains = np.broadcast_to(profits, (steps, rows))
             for r in range(rows):
@@ -244,13 +297,53 @@ class TestKnapsack:
                             rem -= int(weights[k, r])
                     assert tuple(sorted(chosen)) == expected
 
-    def test_rows_need_no_traceback_table(self):
+    @staticmethod
+    def random_plans():
+        # absent cells, weights above the capacity, zero steps, capacity 0,
+        # and profits that tie: small integers, or one profit per step
+        # shared by every row, as L2 passes them
         rng = np.random.Generator(np.random.PCG64(6))
-        weights = rng.integers(1, 9, (6, 3)).astype(float)
-        profits = rng.random((6, 3))
-        plan = bounds._knapsack_plan(weights, 20)
-        took = np.zeros((6, 3, 21), dtype=bool)
-        assert np.array_equal(bounds._knapsack(plan, profits), bounds._knapsack(plan, profits, took))
+        for case in range(120):
+            steps, rows = int(rng.integers(0, 9)), int(rng.integers(1, 7))
+            capacity = 0 if case % 10 == 0 else int(rng.integers(0, 40))
+            weights = rng.integers(1, capacity + 12, (steps, rows)).astype(float)
+            weights[rng.random((steps, rows)) < 0.3] = np.inf
+            shape = (steps, 1) if case % 3 == 0 else (steps, rows)
+            profits = rng.integers(0, 5, shape).astype(float) if case % 2 else rng.random(shape)
+            yield weights, capacity, profits
+
+    def test_matches_the_gather_kernel(self):
+        # the same best tables and the same strict improvements, bit for bit,
+        # whether or not the gather kernel fills its traceback table
+        for weights, capacity, profits in self.random_plans():
+            steps, rows = weights.shape
+            took = np.zeros((steps, rows, capacity + 1), dtype=bool)
+            expected = reference_knapsack(weights, capacity, profits, took)
+            assert np.array_equal(reference_knapsack(weights, capacity, profits), expected)
+            best, strict = kernel_tables(bounds._knapsack(bounds._knapsack_plan(weights, capacity), profits))
+            assert np.array_equal(best, expected)
+            assert np.array_equal(strict, took)
+
+    def test_plan_reuse(self):
+        # a plan's layers are refilled by each call, as L2 reuses its tables
+        for weights, capacity, profits in itertools.islice(self.random_plans(), 30):
+            plan = bounds._knapsack_plan(weights, capacity)
+            bounds._knapsack(plan, profits + 1.5)
+            best, _ = kernel_tables(bounds._knapsack(plan, profits))
+            assert np.array_equal(best, reference_knapsack(weights, capacity, profits))
+
+    def test_l2_cover_matches_the_gather_kernel(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        for case in range(60):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            times = rng.integers(1, 12, (n, m)).astype(float)
+            times[rng.random((n, m)) < 0.25] = np.inf
+            times[np.isinf(times).all(axis=1), 0] = 3.0
+            capacity = 0 if case % 10 == 0 else int(rng.integers(0, 30))
+            mu_plus = rng.integers(0, 4, n).astype(float) if case % 2 else rng.random(n) * 5
+            tables = bounds._l2_tables(times, capacity)
+            for target in (0.0, float(mu_plus.sum()), float(mu_plus.sum()) * m, math.inf):
+                assert bounds._l2_cover(tables, mu_plus, target) == reference_l2_cover(times, capacity, mu_plus, target)
 
 
 class TestL2Cap:
@@ -278,6 +371,71 @@ class TestL2Cap:
         assert len(builds) == 2 * len(expected)
 
 
+class TestL1aCap:
+    @staticmethod
+    def cases():
+        golden = Path(__file__).parent / "golden"
+        paper = [parse_instance(path.read_text()) for path in sorted(golden.glob("paper_*_91.alwabp"))]
+        assert len(paper) == 3
+        return TestL2Cap.cases() + paper
+
+    @staticmethod
+    def l1a_inputs(times):
+        """L1, its multipliers and U as _relaxation_bounds hands them to L1a."""
+        upper = bounds._precedence_free_makespan(times)
+        _, upper = bounds._l2_value(times, DEFAULT_L2_ITERS, upper)
+        best_val, lam, upper = bounds._l1_ascent(times, DEFAULT_L1_ITERS, upper)
+        return bounds._l1_of(best_val, int(times.min(axis=1).max())), lam, upper
+
+    @staticmethod
+    def record_widths(monkeypatch):
+        widths = []
+        plan = bounds._knapsack_plan
+
+        def recorded(weights, capacity):
+            widths.append(capacity)
+            return plan(weights, capacity)
+
+        monkeypatch.setattr(bounds, "_knapsack_plan", recorded)
+        return widths
+
+    def test_capped_at_u_same_values(self, monkeypatch):
+        widths = self.record_widths(monkeypatch)
+        below_u, narrower = 0, 0
+        for inst in self.cases():
+            times = inst.times_array
+            l1, lam, upper = self.l1a_inputs(times)
+            if l1 >= upper:
+                continue
+            below_u += 1
+            widths.clear()
+            capped = bounds._l1_additive(times, l1, lam, upper)
+            [cap] = widths  # no rebuild at the full range
+            assert capped == bounds._l1_additive(times, l1, lam, math.inf)
+            assert cap <= upper
+            narrower += cap < widths[1]
+        assert narrower == below_u > 0
+
+    def test_forced_fallback_same_values(self, monkeypatch):
+        # L1a handed U = 1, below L1: the knapsacks fail the test at 1 and
+        # are rebuilt over the full range, with the same values
+        expected = [bound_values(inst, ALL_BOUNDS) for inst in self.cases()]
+        l1_additive = bounds._l1_additive
+        widths = self.record_widths(monkeypatch)
+        knapsacks = []
+
+        def at_one(times, l1, lam, upper):
+            knapsacks.append(l1)
+            return l1_additive(times, l1, lam, 1)
+
+        monkeypatch.setattr(bounds, "_l1_additive", at_one)
+        assert [bound_values(inst, ALL_BOUNDS) for inst in self.cases()] == expected
+        # besides L2's one plan per instance, each L1a call built two: at 1,
+        # then over the full range
+        assert knapsacks and widths.count(1) == len(knapsacks)
+        assert len(widths) == len(expected) + 2 * len(knapsacks)
+
+
 def reference_l2_value(times, max_iters=DEFAULT_L2_ITERS):
     """L2 with every iteration run on knapsacks over each machine's full
     load: no capped tables, no early stop."""
@@ -296,7 +454,7 @@ def reference_l2_value(times, max_iters=DEFAULT_L2_ITERS):
 
 def reference_l1_chain(times, max_iters=DEFAULT_L1_ITERS):
     """L1, L1a and L1a_bar from an ascent that runs every iteration, with
-    L1a always from its knapsack."""
+    L1a always from its knapsack over the full range."""
     n_tasks, m = times.shape
     finite = np.isfinite(times)
     filled = np.where(finite, times, 0.0)
@@ -317,7 +475,7 @@ def reference_l1_chain(times, max_iters=DEFAULT_L1_ITERS):
         lam = np.maximum(lam + (0.5 / (m * k)) * direction / norm, 0.0)
         lam /= lam.sum()
     l1 = max(math.ceil(best_val - 1e-9), int(times.min(axis=1).max()))
-    l1a = bounds._l1_additive(times, l1, best_lam)
+    l1a = bounds._l1_additive(times, l1, best_lam, math.inf)
     return [l1, l1a, bounds._disjunction_value(times, l1a)]
 
 
@@ -368,7 +526,7 @@ class TestL2Stop:
             best_val, lam, upper = bounds._l1_ascent(times, DEFAULT_L1_ITERS, upper)
             counts.append(len(iterations))
             l1 = bounds._l1_of(best_val, int(times.min(axis=1).max()))
-            l1a = l1 if l1 >= upper else bounds._l1_additive(times, l1, lam)
+            l1a = l1 if l1 >= upper else bounds._l1_additive(times, l1, lam, upper)
             assert [l1, l1a, bounds._disjunction_value(times, l1a)] == expected
         assert max(counts) == DEFAULT_L1_ITERS
         # the stop at U skipped iterations that the reference ran (the

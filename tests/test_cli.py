@@ -185,6 +185,17 @@ class TestGoldenHeur:
         assert_matches_golden(path, ["--seed", "42", *HEUR_WORKLOAD_FLAGS], "heur", monkeypatch)
 
 
+class TestGoldenBounds:
+    """The committed `bounds --no-timings --json` report of one paper-scale
+    instance, made from the repository root with `alwabp bounds
+    tests/golden/paper_40x6_low_91.alwabp --json --no-timings` into
+    tests/golden/paper_40x6_low_91.bounds.json: all eight bounds, with L2's
+    knapsacks capped at U and L1a's below it."""
+
+    def test_report_matches_golden(self, monkeypatch):
+        assert_matches_golden("tests/golden/paper_40x6_low_91.alwabp", [], "bounds", monkeypatch)
+
+
 class TestBounds:
     def test_fig1_report(self, fig1_path):
         code, text = run(["bounds", fig1_path])

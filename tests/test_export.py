@@ -10,6 +10,7 @@ from alwabp import (
     branch_and_bound,
     check_solution_against_model,
     emit_model,
+    parse_instance,
     tokenize_lp,
     validate_solution,
 )
@@ -139,6 +140,16 @@ class TestChecker:
         assert validate_solution(fig1, bad) != []
         violations = check_solution_against_model(fig1, M2, bad)
         assert any(v.name.startswith("lnk_") for v in violations)
+
+    @pytest.mark.parametrize("variant", [M2, M3])
+    @pytest.mark.parametrize("order", [(0, 0, 1), (0, 1, 3), (0, 1), (2, 0, 1, 0)])
+    def test_worker_order_not_a_permutation(self, variant, order):
+        # (0, 0, 1) on the demo used to raise KeyError: 2 for the missing worker
+        inst = parse_instance((GOLDEN.parents[1] / "demos" / "fig_example.alwabp").read_text())
+        bad = Solution(order, FIG1_SOLUTION.assignment, 6)
+        assert validate_solution(inst, bad) == ["worker_order is not a permutation of the workers"]
+        violations = check_solution_against_model(inst, variant, bad)
+        assert [str(v) for v in violations] == ["worker_order is not a permutation of the workers"]
 
     def test_bnb_optima_pass_both_models(self):
         from alwabp import INFEASIBLE as INF
