@@ -10,7 +10,6 @@ from .instance import (
     CycleError,
     EnumerationLimitError,
     GenerationError,
-    InfeasibleInstanceError,
     Instance,
     ParseError,
     Solution,

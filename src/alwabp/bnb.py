@@ -20,12 +20,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import bounds as lb
-from .heuristic import IpbsParams, ipbs
+from .heuristic import FAILED, IpbsParams, ipbs
 from .instance import (
     INFEASIBLE,
     CycleError,
     EnumerationLimitError,
-    InfeasibleInstanceError,
     Solution,
     iter_bits,
     topological_order,
@@ -94,10 +93,10 @@ class SearchState:
       the instance's heads_tails, and mark_infeasible raises them;
     - feasible[w], the task mask of the cells on worker w that are not
       excluded (mark_infeasible);
-    - per task, the masks of the workers holding an assigned direct
-      predecessor (pred_workers) or successor (succ_workers), and the same
-      over all transitive ones (pred_star_workers, succ_star_workers)
-      (_assign).
+    - per task, the masks of the workers holding an assigned transitive
+      predecessor (pred_star_workers) or successor (succ_star_workers)
+      (_assign); the order graph links a task's worker by them, and
+      branching blocks the workers that would close a cycle with them.
 
     The updates walk the instance's relation_lists. The caches of a dead
     node, one a rule has emptied a row of, are not kept: the search drops
@@ -116,8 +115,6 @@ class SearchState:
         self.total = sum(self.p_min)
         self.heads, self.tails = map(list, inst.heads_tails)
         self.feasible = [sum(1 << t for t in range(n) if inst.times[t][w] != INFEASIBLE) for w in range(m)]
-        self.pred_workers = [0] * n
-        self.succ_workers = [0] * n
         self.pred_star_workers = [0] * n
         self.succ_star_workers = [0] * n
 
@@ -134,8 +131,6 @@ class SearchState:
         node.heads = self.heads[:]
         node.tails = self.tails[:]
         node.feasible = self.feasible[:]
-        node.pred_workers = self.pred_workers[:]
-        node.succ_workers = self.succ_workers[:]
         node.pred_star_workers = self.pred_star_workers[:]
         node.succ_star_workers = self.succ_star_workers[:]
         return node
@@ -157,7 +152,7 @@ class SearchState:
         if rise:
             self.p_min[t] = low
             self.total += rise
-            _, _, succ_star, pred_star = self.inst.relation_lists
+            _, succ_star, pred_star = self.inst.relation_lists
             heads, tails = self.heads, self.tails
             heads[t] += rise
             tails[t] += rise
@@ -184,7 +179,7 @@ def set_assignment(state, t, w):
 def _assign(state, t, w):
     """Assign t to w and link its worker into the order graph; returns False,
     changing nothing, when that would close a cycle. The neighbour-worker
-    masks of t's predecessors and successors gain w."""
+    masks of t's transitive predecessors and successors gain w."""
     inst = state.inst
     bit = 1 << w
     other = ~bit
@@ -193,15 +188,11 @@ def _assign(state, t, w):
     state.assignment[t] = w
     state.on_worker[w] |= 1 << t
     state.loads[w] += inst.times[t][w]
-    succ, pred, succ_star, pred_star = inst.relation_lists
-    for masks, tasks in (
-        (state.pred_workers, succ[t]),
-        (state.succ_workers, pred[t]),
-        (state.pred_star_workers, succ_star[t]),
-        (state.succ_star_workers, pred_star[t]),
-    ):
-        for u in tasks:
-            masks[u] |= bit
+    _, succ_star, pred_star = inst.relation_lists
+    for u in succ_star[t]:
+        state.pred_star_workers[u] |= bit
+    for u in pred_star[t]:
+        state.succ_star_workers[u] |= bit
     return True
 
 
@@ -289,11 +280,12 @@ def apply_reduction_rules(state, t, w, gub):
 
 
 def _cycle_workers(rows, pred_workers, succ_workers):
-    """The workers a task cannot go to without an immediate cycle: those
-    that precede a worker of pred_workers, which holds a direct predecessor
-    of the task, or follow one of succ_workers, which holds a direct
-    successor (no row holds its own bit, so a neighbour on the same worker
-    is no cycle)."""
+    """The workers a task cannot go to without a cycle in the worker order
+    graph: those that precede a worker of pred_workers, which holds a
+    transitive predecessor of the task, or follow one of succ_workers, which
+    holds a transitive successor (no row holds its own bit, so a neighbour
+    on the same worker is no cycle). After the reduction rules, these are
+    exactly the workers that set_assignment rejects."""
     blocked = 0
     for w, row in enumerate(rows):
         if row & pred_workers:
@@ -307,9 +299,10 @@ def select_branch_task(state, gub):
     """Unassigned task with the most infeasible workers; ties go to the task
     with the largest worker-minimal average-load bound, then the smallest
     index. A worker is infeasible for a task when its cell is excluded, when
-    pinning would create an immediate cyclic worker dependency, or when the
-    average-load bound after pinning (the max of the new worker loads and
-    the ceiling of the effective total over the stations) reaches the
+    pinning would close a cycle in the worker order graph (_cycle_workers,
+    by the workers of its transitive predecessors and successors), or when
+    the average-load bound after pinning (the max of the new worker loads
+    and the ceiling of the effective total over the stations) reaches the
     incumbent. Returns the task and the (bound, worker) pairs of its
     feasible workers, in worker order."""
     inst = state.inst
@@ -321,7 +314,7 @@ def select_branch_task(state, gub):
     max_load = max(loads)
     rows = state.order_graph.rows
     asg = state.assignment
-    pred_workers, succ_workers = state.pred_workers, state.succ_workers
+    pred_workers, succ_workers = state.pred_star_workers, state.succ_star_workers
     blocked_by = {}  # many tasks share their neighbour workers
     best = None
     for t in range(inst.n_tasks):
@@ -425,7 +418,8 @@ class _Search:
                 self.incumbent = Solution(order, assignment, value)
             return
         # pairs holds every worker the task can go to below the incumbent
-        # without an immediate cycle; set_assignment rejects the rest
+        # without a cycle once the rules have run; without them,
+        # set_assignment may still reject one
         t, pairs = select_branch_task(state, self.gub)
         for after, w in sorted(pairs):
             if after >= self.gub:  # the incumbent may have improved mid-loop
@@ -461,11 +455,8 @@ def branch_and_bound(inst, config=None):
         params = IpbsParams(
             WARM_START_GAMMA, WARM_START_BEAM_FACTOR, t_min=0.0, t_max=t_max, seed=config.seed, hand_over=True
         )
-        try:
-            heur = ipbs(inst, params, lower_bound=root_lb)
-        except InfeasibleInstanceError:
-            heur = None
-        if heur is not None and (incumbent is None or heur.cycle_time < incumbent.cycle_time):
+        heur = ipbs(inst, params, lower_bound=root_lb)
+        if heur is not FAILED and (incumbent is None or heur.cycle_time < incumbent.cycle_time):
             incumbent = heur
     gub = incumbent.cycle_time if incumbent is not None else math.inf
 

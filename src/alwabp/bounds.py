@@ -519,18 +519,20 @@ def _relaxation_bounds(times, l1_iters, l2_iters):
     and one ascent. U starts at S and each step takes it and returns it,
     lowered by the schedules it built: L2 first, so the ascent starts from
     the U that L2's repairs left, and L1a from its knapsack only while L1
-    is below U."""
+    is below U. L1a_bar and L2_bar share one disjunction value, which does
+    not depend on the bound it strengthens."""
     upper = _precedence_free_makespan(times)
     l2, upper = _l2_value(times, l2_iters, upper)
     best_val, lam, upper = _l1_ascent(times, l1_iters, upper)
     l1 = _l1_of(best_val, int(times.min(axis=1).max()))
     l1a = l1 if l1 >= upper else _l1_additive(times, l1, lam, upper)
+    disjunction = _disjunction_value(times, 0)
     return {
         "L1": l1,
         "L1a": l1a,
-        "L1a_bar": _disjunction_value(times, l1a),
+        "L1a_bar": max(l1a, disjunction),
         "L2": l2,
-        "L2_bar": _disjunction_value(times, l2),
+        "L2_bar": max(l2, disjunction),
     }
 
 

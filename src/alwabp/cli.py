@@ -8,12 +8,12 @@ import glob as globmod
 import json
 import math
 import sys
+import time
 
 from . import bnb, bounds, export, heuristic
 from .instance import (
     INFEASIBLE,
     AlwabpError,
-    InfeasibleInstanceError,
     generate_instance,
     parse_instance,
     write_instance,
@@ -264,13 +264,19 @@ def _run_heur(args, path, out):
         seed=args.seed,
     )
     log = [] if args.verbose else None
-    try:
-        sol = heuristic.ipbs(inst, params, log=log)
-    except InfeasibleInstanceError:
-        report["result"] = {"value": None, "status": "infeasible"}
-        report["solution"] = None
-        _emit(args, report, out)
-        return EXIT_INFEASIBLE
+    t0 = time.monotonic()
+    sol = heuristic.ipbs(inst, params, log=log)
+    if sol is heuristic.FAILED:
+        # a beam's failure proves nothing: the exact search from no
+        # incumbent decides, within what is left of t_max
+        left = max(0.0, t_max - (time.monotonic() - t0))
+        result = bnb.branch_and_bound(inst, bnb.BnbConfig(time_limit=left, seed=args.seed, heuristic_on=False))
+        if result.solution is None:
+            report["result"] = {"value": None, "status": result.status}
+            report["solution"] = None
+            _emit(args, report, out)
+            return EXIT_INFEASIBLE if result.status == bnb.INFEASIBLE_STATUS else EXIT_OK
+        sol = result.solution
     if log:
         sweeps = [_sweep_line(entry, args.no_timings) for entry in log]
         report["sweeps"] = sweeps

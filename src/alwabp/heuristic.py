@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as lb
-from .instance import INFEASIBLE, InfeasibleInstanceError, Solution, iter_bits
+from .instance import INFEASIBLE, Solution, iter_bits
 
 FAILED = None  # beam-search failure is a normal outcome, not an error
 
@@ -282,8 +282,10 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     feasible result. Stops as soon as the incumbent matches the lower bound;
     otherwise runs until the sweep or time budget is exhausted, but never
     shorter than t_min. Each sweep's beam call gives up at the t_max
-    deadline; the initial construction has none, so there is always a
-    solution. The final solution is polished by local search.
+    deadline; the initial construction has none. The final solution is
+    polished by local search. Returns FAILED when the initial construction
+    finds no line: a beam prunes partial lines, so that proves nothing
+    about the instance.
     A given `log` list receives one (cycle time, feasible, milliseconds)
     tuple per beam call; feasible is None for a call that came back empty
     after the t_max deadline had passed, which may have cut it short.
@@ -306,7 +308,7 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
         lower_bound = lb.all_bounds(inst).best
     best = initial_upper_bound(inst, seeds.spawn(1)[0], params.gamma)
     if best is FAILED:
-        raise InfeasibleInstanceError("no feasible assignment exists at any cycle time")
+        return FAILED
     polished = None
     if params.hand_over:
         best = polished = local_search(inst, best)

@@ -39,10 +39,6 @@ class GenerationError(AlwabpError):
     pass
 
 
-class InfeasibleInstanceError(AlwabpError):
-    pass
-
-
 class EnumerationLimitError(AlwabpError):
     pass
 
@@ -192,12 +188,11 @@ class Instance:
 
     @cached_property
     def relation_lists(self):
-        """(succ, pred, succ_star, pred_star): per task, the set bits of
-        succ_mask, pred_mask, succ_star and pred_star as an ascending list.
-        Callers only read them."""
+        """(succ, succ_star, pred_star): per task, the set bits of succ_mask,
+        succ_star and pred_star as an ascending list. Callers only read them."""
         return tuple(
             tuple(list(iter_bits(mask)) for mask in masks)
-            for masks in (self.succ_mask, self.pred_mask, self.succ_star, self.pred_star)
+            for masks in (self.succ_mask, self.succ_star, self.pred_star)
         )
 
     def __eq__(self, other):

@@ -40,6 +40,30 @@ precedences
 end
 """
 
+# feasible (optimum 19), but the first beam construction of `heur --gamma 5
+# --seed 42` finds no line, at beam factor 5 and at 1
+NARROW_BEAM_FAILS_TEXT = """\
+alwabp 1
+tasks 7
+workers 5
+times
+inf inf 13 15 inf
+7 inf inf inf inf
+inf 9 7 10 inf
+inf 10 12 inf inf
+6 inf 10 inf inf
+8 6 inf 5 15
+inf 14 7 inf inf
+precedences
+1 2
+1 3
+2 4
+3 4
+4 5
+4 6
+end
+"""
+
 FIG1_EDGES = {(0, 1), (0, 2), (2, 3), (2, 4), (1, 4), (4, 5)}
 
 

@@ -272,8 +272,6 @@ def recomputed_caches(state):
         "heads": heads,
         "tails": tails,
         "feasible": feasible,
-        "pred_workers": [workers(inst.edges, t, True) for t in range(n)],
-        "succ_workers": [workers(inst.edges, t, False) for t in range(n)],
         "pred_star_workers": [workers(inst.closure, t, True) for t in range(n)],
         "succ_star_workers": [workers(inst.closure, t, False) for t in range(n)],
     }
@@ -418,11 +416,11 @@ def reference_branch_choice(state, gub):
                 infeasible += 1
                 continue
             cyclic = False
-            for u in iter_bits(inst.pred_mask[t]):
+            for u in iter_bits(inst.pred_star[t]):
                 v = state.assignment.get(u)
                 if v is not None and v != w and has_arc(state.order_graph, w, v):
                     cyclic = True
-            for u in iter_bits(inst.succ_mask[t]):
+            for u in iter_bits(inst.succ_star[t]):
                 x = state.assignment.get(u)
                 if x is not None and x != w and has_arc(state.order_graph, x, w):
                     cyclic = True
@@ -460,6 +458,33 @@ class TestBranchSelection:
             apply_reduction_rules(state, t0, w0, gub=60)
             for gub in (8, 20, math.inf):
                 assert select_branch_task(state, gub) == reference_branch_choice(state, gub)
+
+    def test_offers_exactly_the_workers_set_assignment_accepts(self, monkeypatch):
+        # at every node of searches with the rules on, each offered worker
+        # is accepted, and of a task's open cells, the ones _cycle_workers
+        # blocks are exactly the ones set_assignment rejects; blocking by the
+        # direct neighbours' workers alone offers 15 workers here that
+        # set_assignment rejects
+        select = bnb.select_branch_task
+        offered = []
+
+        def checked(state, gub):
+            rows = state.order_graph.rows
+            for t in range(state.inst.n_tasks):
+                if t in state.assignment:
+                    continue
+                blocked = bnb._cycle_workers(rows, state.pred_star_workers[t], state.succ_star_workers[t])
+                for w, p in enumerate(state.eff[t]):
+                    if p != INFEASIBLE:
+                        assert set_assignment(state.child(), t, w) != bool(blocked >> w & 1)
+            t, pairs = select(state, gub)
+            offered.extend(set_assignment(state.child(), t, w) for _after, w in pairs)
+            return t, pairs
+
+        monkeypatch.setattr(bnb, "select_branch_task", checked)
+        for seed in range(100):
+            branch_and_bound(random_instance(seed, 12, 3), BnbConfig(heuristic_on=False))
+        assert len(offered) > 1000 and all(offered)
 
     def test_unique_maximum_wins(self):
         inst = Instance(
@@ -697,11 +722,11 @@ class TestBranchAndBound:
         # that means to keep the search as it is must keep these
         pins = {
             (11002, 16, 4): (13, 81, OPTIMAL),
-            (11003, 18, 4): (21, 194, OPTIMAL),
-            (11004, 20, 4): (21, 243, OPTIMAL),
-            (11005, 20, 5): (14, 522, OPTIMAL),
-            (11006, 22, 4): (16, 243, OPTIMAL),
-            (11007, 24, 5): (17, 328, OPTIMAL),
+            (11003, 18, 4): (21, 189, OPTIMAL),
+            (11004, 20, 4): (21, 232, OPTIMAL),
+            (11005, 20, 5): (14, 515, OPTIMAL),
+            (11006, 22, 4): (16, 244, OPTIMAL),
+            (11007, 24, 5): (17, 319, OPTIMAL),
             (11009, 28, 5): (10, 23, OPTIMAL),
             (11010, 28, 4): (33, 64, OPTIMAL),
         }
@@ -716,9 +741,9 @@ class TestBranchAndBound:
         # and 28x7 high with 20 %, arc density 0.1; 40x6 low with 10 %, arc
         # density 0.04); each value is the MILP optimum of perfbench/oracle.py
         pins = {
-            "paper_28x4_low_91": (122, 2969, OPTIMAL),
-            "paper_28x7_high_91": (74, 1598, OPTIMAL),
-            "paper_40x6_low_91": (75, 936, OPTIMAL),
+            "paper_28x4_low_91": (122, 2346, OPTIMAL),
+            "paper_28x7_high_91": (74, 1552, OPTIMAL),
+            "paper_40x6_low_91": (75, 921, OPTIMAL),
         }
         golden = Path(__file__).parent / "golden"
         for name, expected in pins.items():

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from alwabp import cli, generate_instance, heuristic, write_instance
+from alwabp import Solution, cli, generate_instance, heuristic, parse_instance, validate_solution, write_instance
 from alwabp.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main, run
-from conftest import FIG1_TEXT, SINGLE_TEXT
+from conftest import FIG1_TEXT, NARROW_BEAM_FAILS_TEXT, SINGLE_TEXT
 
 INFEASIBLE_TEXT = """\
 alwabp 1
@@ -79,6 +79,30 @@ class TestHeur:
         assert code == EXIT_OK
         assert "value 6" in text
         assert "status feasible" in text
+
+    def test_failed_construction_is_no_proof(self, tmp_path):
+        # the exact search decides: a line where one exists, and infeasible
+        # or time_limit, with no line, where none was found
+        path = tmp_path / "narrow.alwabp"
+        path.write_text(NARROW_BEAM_FAILS_TEXT)
+        inst = parse_instance(NARROW_BEAM_FAILS_TEXT)
+        for beam_factor in ("5", "1"):
+            argv = ["heur", str(path), "--seed", "42", "--gamma", "5", "--t-min", "0", "--beam-factor", beam_factor]
+            code, text = run([*argv, "--json", "--no-timings"])
+            assert code == EXIT_OK
+            report = json.loads(text)
+            assert report["result"] == {"value": 19, "status": "feasible"}
+            solution = report["solution"]
+            order = tuple(w - 1 for w in solution["worker_order"])
+            assignment = tuple(solution["assignment"][str(t + 1)] - 1 for t in range(inst.n_tasks))
+            assert validate_solution(inst, Solution(order, assignment, 19)) == []
+        path.write_text(INFEASIBLE_TEXT)
+        code, text = run(["heur", str(path), "--no-timings"])
+        assert code == EXIT_INFEASIBLE
+        assert "value none\nstatus infeasible\n" in text
+        code, text = run(["heur", str(path), "--t-min", "0", "--t-max", "0", "--no-timings"])
+        assert code == EXIT_OK
+        assert "value none\nstatus time_limit\n" in text
 
     def test_verbose_sweep_log(self, fig1_path):
         code, text = run(["heur", fig1_path, "--seed", "42", "--verbose", "--no-timings"])

@@ -13,7 +13,6 @@ from alwabp import (
     BeamParams,
     Instance,
     IpbsParams,
-    InfeasibleInstanceError,
     all_bounds,
     lc1,
     beam_search_feasible,
@@ -21,13 +20,14 @@ from alwabp import (
     initial_upper_bound,
     ipbs,
     local_search,
+    parse_instance,
     validate_solution,
 )
 from alwabp import Solution, heuristic
 from alwabp.bnb import SearchState, apply_reduction_rules, set_assignment
 from alwabp.heuristic import _UNIFORM_BLOCK, _draw, _fill_station, _rlb_sum
 from alwabp.instance import iter_bits
-from conftest import count_calls, random_instance, scale_instance
+from conftest import NARROW_BEAM_FAILS_TEXT, count_calls, random_instance, scale_instance
 
 
 class TestMaxPw:
@@ -470,15 +470,19 @@ class TestIpbs:
         assert len(log) == 1 and log[0][1] is None
         assert validate_solution(inst, sol) == []
 
-    def test_infeasible_instance_raises(self):
-        # three chained tasks whose able workers force a station cycle
-        inst = Instance(
+    def test_failed_construction_returns_failed(self):
+        # a failed first construction is no proof either way: three chained
+        # tasks whose able workers force a station cycle, and a feasible
+        # instance that a beam of width 5 misses at seed 42
+        infeasible = Instance(
             [[INFEASIBLE, 1], [1, INFEASIBLE], [INFEASIBLE, 1]],
             {(0, 1), (1, 2)},
         )
-        assert brute_force_optimal(inst) == INFEASIBLE
-        with pytest.raises(InfeasibleInstanceError):
-            ipbs(inst, IpbsParams(seed=0, t_min=0.0, t_max=1.0, repetitions=1))
+        assert brute_force_optimal(infeasible) == INFEASIBLE
+        assert ipbs(infeasible, IpbsParams(seed=0, t_min=0.0, t_max=1.0, repetitions=1)) is FAILED
+        feasible = parse_instance(NARROW_BEAM_FAILS_TEXT)
+        assert brute_force_optimal(feasible) == 19
+        assert ipbs(feasible, IpbsParams(gamma=5, t_min=0.0, seed=42)) is FAILED
 
     def test_params_validated(self):
         with pytest.raises(ValueError):

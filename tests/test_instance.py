@@ -235,7 +235,7 @@ class TestAdjacency:
         for inst in self.cases():
             heads, tails = star_sums(inst, inst.min_times)
             assert inst.heads_tails == (tuple(heads), tuple(tails))
-            masks = (inst.succ_mask, inst.pred_mask, inst.succ_star, inst.pred_star)
+            masks = (inst.succ_mask, inst.succ_star, inst.pred_star)
             assert inst.relation_lists == tuple(tuple(list(iter_bits(mask)) for mask in ms) for ms in masks)
 
 
