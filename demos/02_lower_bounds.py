@@ -5,7 +5,9 @@ worker; the machine-relaxation bounds (L1, L1a, L2 and their disjunctive
 strengthenings) drop the precedence constraints instead.
 """
 
-from alwabp import all_bounds, parse_instance, station_windows
+import math
+
+from alwabp import all_bounds, parse_instance
 from alwabp.bounds import ALL_BOUNDS
 
 TEXT = """\
@@ -40,8 +42,13 @@ for entry in report.entries:
 print(f"{'best':<10} {report.best:>5}")
 
 # LC3 is the smallest cycle time at which every task still has a station
-# window; at 4 the last task is squeezed out
+# window: earliest ceil(head / C), latest m + 1 - ceil(tail / C), where a
+# task's head (tail) sums the minimum times of it and all its transitive
+# predecessors (successors); at 4 the last task is squeezed out
+heads, tails = inst.heads_tails
 for c in (4, 5, 6):
-    win = station_windows(inst, c)
-    rows = ", ".join(f"t{t + 1}:[{e},{l}]" for t, (e, l) in enumerate(zip(win.earliest, win.latest)))
+    rows = ", ".join(
+        f"t{t + 1}:[{math.ceil(h / c)},{inst.n_workers + 1 - math.ceil(tl / c)}]"
+        for t, (h, tl) in enumerate(zip(heads, tails))
+    )
     print(f"C={c}: {rows}")

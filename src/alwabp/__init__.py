@@ -23,12 +23,10 @@ from .instance import (
 )
 from .bounds import (
     BoundReport,
-    StationWindow,
     all_bounds,
     lc1,
     lc2,
     lc3,
-    station_windows,
 )
 from .heuristic import (
     FAILED,

@@ -4,11 +4,11 @@ The search assigns one task per level to every worker that keeps the worker
 order graph acyclic, applies reduction rules that pin, exclude and prune
 task-worker cells, and bounds each node on the reduced time matrix. The
 worker order graph is kept transitively closed as one bitmask row per
-worker, and the reduced time matrix as one Python list per task. Every
-node owns its state: a child starts as a copy of its parent, so nothing is
-ever undone. Next to the matrix, a node keeps current what the branching
-choice, the rules and the node bound read (row minima and their sum, LC3's
-heads and tails, feasible-cell masks per worker, neighbour-worker masks per
+worker, and the reduced matrix as the instance's times with one mask of
+open cells per worker. Every node owns its state: a child starts as a copy
+of its parent, so nothing is ever undone. Next to the masks, a node keeps
+current what the branching choice, the rules and the node bound read (row
+minima and their sum, LC3's heads and tails, neighbour-worker masks per
 task; see SearchState), so no step rebuilds them from the whole matrix.
 """
 
@@ -83,69 +83,71 @@ class WorkerOrderGraph:
 class SearchState:
     """The state of one search node; a child node starts as a copy.
 
-    Besides the reduced matrix eff, the assignment, the loads and the worker
-    order graph, a node carries what its branching, rules and bound read,
-    each updated only where the node changes it:
+    A node records each fact once: feasible[w] is the task mask of the open
+    (not excluded) cells on worker w, on_worker[w] the mask of the tasks
+    assigned to w, and assigned their union; a cell's time is read from
+    the instance. Besides the loads and the worker order graph, a node
+    carries what its branching, rules and bound read, each updated only
+    where the node changes it:
 
-    - p_min[t], the minimum of eff[t], and total, their sum (mark_infeasible);
+    - p_min[t], the minimum time over t's open cells, and total, their sum
+      (mark_infeasible);
     - heads[t] and tails[t], p_min[t] plus p_min over t's transitive
       predecessors and successors, LC3's inputs: the root's are a copy of
       the instance's heads_tails, and mark_infeasible raises them;
-    - feasible[w], the task mask of the cells on worker w that are not
-      excluded (mark_infeasible);
     - per task, the masks of the workers holding an assigned transitive
       predecessor (pred_star_workers) or successor (succ_star_workers)
-      (_assign); the order graph links a task's worker by them, and
+      (set_assignment); the order graph links a task's worker by them, and
       branching blocks the workers that would close a cycle with them.
 
     The updates walk the instance's relation_lists. The caches of a dead
-    node, one a rule has emptied a row of, are not kept: the search drops
-    it.
+    node, one a rule has closed every cell of a task in, are not kept: the
+    search drops it.
     """
 
     def __init__(self, inst):
         n, m = inst.n_tasks, inst.n_workers
         self.inst = inst
-        self.eff = [list(row) for row in inst.times]
-        self.assignment = {}
+        self.feasible = [sum(1 << t for t in range(n) if inst.times[t][w] != INFEASIBLE) for w in range(m)]
         self.on_worker = [0] * m  # bitmask of the tasks assigned to each worker
+        self.assigned = 0
         self.loads = [0] * m
         self.order_graph = WorkerOrderGraph(m)
         self.p_min = list(inst.min_times)
         self.total = sum(self.p_min)
         self.heads, self.tails = map(list, inst.heads_tails)
-        self.feasible = [sum(1 << t for t in range(n) if inst.times[t][w] != INFEASIBLE) for w in range(m)]
         self.pred_star_workers = [0] * n
         self.succ_star_workers = [0] * n
 
     def child(self):
         node = SearchState.__new__(SearchState)
         node.inst = self.inst
-        node.eff = [row[:] for row in self.eff]
-        node.assignment = dict(self.assignment)
+        node.feasible = self.feasible[:]
         node.on_worker = self.on_worker[:]
+        node.assigned = self.assigned
         node.loads = self.loads[:]
         node.order_graph = self.order_graph.copy()
         node.p_min = self.p_min[:]
         node.total = self.total
         node.heads = self.heads[:]
         node.tails = self.tails[:]
-        node.feasible = self.feasible[:]
         node.pred_star_workers = self.pred_star_workers[:]
         node.succ_star_workers = self.succ_star_workers[:]
         return node
 
     def mark_infeasible(self, t, w):
-        """Set a cell infeasible; returns False when task t loses its last
-        worker (the node is then dead). When the cell held the row minimum,
+        """Close a cell; returns False when task t loses its last open cell
+        (the node is then dead). When the cell held the row minimum,
         p_min[t] rises, and with it total, the heads of t and its transitive
         successors and the tails of t and its transitive predecessors."""
-        row = self.eff[t]
-        if row[w] == INFEASIBLE:
+        feasible = self.feasible
+        if not feasible[w] >> t & 1:
             return True
-        row[w] = INFEASIBLE
-        self.feasible[w] ^= 1 << t
-        low = min(row)
+        feasible[w] ^= 1 << t
+        row = self.inst.times[t]
+        if row[w] != self.p_min[t]:
+            return True
+        low = min((row[v] for v, mask in enumerate(feasible) if mask >> t & 1), default=INFEASIBLE)
         if low == INFEASIBLE:
             return False
         rise = low - self.p_min[t]
@@ -164,113 +166,103 @@ class SearchState:
 
 
 def set_assignment(state, t, w):
-    """Assign t to w and pin it there (rule R1): its other cells become
-    infeasible. Returns False, changing nothing, when the assignment would
-    close a cycle in the worker order graph."""
-    assert state.eff[t][w] != INFEASIBLE, "assignment to an infeasible cell"
-    if not _assign(state, t, w):
-        return False
-    for w2 in range(state.inst.n_workers):
-        if w2 != w:
-            state.mark_infeasible(t, w2)
-    return True
-
-
-def _assign(state, t, w):
-    """Assign t to w and link its worker into the order graph; returns False,
-    changing nothing, when that would close a cycle. The neighbour-worker
-    masks of t's transitive predecessors and successors gain w."""
+    """Assign t to w, link its worker into the order graph and pin it there
+    (rule R1): its other cells close. The neighbour-worker masks of t's
+    transitive predecessors and successors gain w. Returns False, changing
+    nothing, when the assignment would close a cycle in the worker order
+    graph."""
+    assert state.feasible[w] >> t & 1, "assignment to an infeasible cell"
     inst = state.inst
     bit = 1 << w
     other = ~bit
     if not state.order_graph.link(state.pred_star_workers[t] & other, w, state.succ_star_workers[t] & other):
         return False
-    state.assignment[t] = w
     state.on_worker[w] |= 1 << t
+    state.assigned |= 1 << t
     state.loads[w] += inst.times[t][w]
     _, succ_star, pred_star = inst.relation_lists
     for u in succ_star[t]:
         state.pred_star_workers[u] |= bit
     for u in pred_star[t]:
         state.succ_star_workers[u] |= bit
+    for w2 in range(inst.n_workers):
+        if w2 != w:
+            state.mark_infeasible(t, w2)
     return True
 
 
 def apply_reduction_rules(state, t, w, gub):
     """Fixpoint of the three node reductions after assigning t to w.
 
-    R1 pins the task: all its other cells become infeasible (for t,
-    set_assignment has done so, and t's other cells seed the propagation;
-    a seed an ancestor node has already propagated marks nothing new). R2
-    enforces continuity: a task between two tasks of one worker is assigned
-    there too, and everything beyond an infeasible intermediate is excluded
-    on that worker. R3 excludes a candidate cell whose chain would already
-    reach the incumbent, once per (newly) assigned task against the
-    then-current matrix. Returns True when the node is DEAD.
+    R1 pins a task: set_assignment closes all its other cells, for t and
+    for every task the rules force, and those cells seed the propagation (a
+    seed an ancestor node has already propagated marks nothing new). R2
+    enforces continuity: a task between two tasks of one worker is pinned
+    there too, and everything beyond a closed intermediate is excluded on
+    that worker. R3 excludes a candidate cell whose chain would already
+    reach the incumbent, once per task pinned in this call, against the
+    then-open cells. Returns True when the node is DEAD.
 
-    The loops that exclude cells walk only the cells still feasible
-    (state.feasible); a cell an assigned task holds stays feasible, so a
-    contradiction is still seen.
+    The loops that exclude cells walk only the open cells (state.feasible);
+    a cell an assigned task holds stays open, so a contradiction is still
+    seen.
     """
     inst = state.inst
-    m = inst.n_workers
-    eff = state.eff
+    times = inst.times
     feasible = state.feasible
-    asg = state.assignment
+    on_worker = state.on_worker
     succ_star, pred_star = inst.succ_star, inst.pred_star
-    pending_assign = [t]
-    pending_marks = [(t, w2) for w2, p in enumerate(inst.times[t]) if w2 != w and p != INFEASIBLE]
+    pending_assign = []
+    pending_marks = []
+
+    def pinned(task, worker):
+        # the cells R1 closed seed the propagation
+        pending_assign.append((task, worker))
+        pending_marks.extend((task, w2) for w2, p in enumerate(times[task]) if w2 != worker and p != INFEASIBLE)
 
     def mark(task, worker):
-        if asg.get(task) == worker:
+        if on_worker[worker] >> task & 1:
             return False  # contradiction: an assigned task lost its own cell
-        if eff[task][worker] == INFEASIBLE:
+        if not feasible[worker] >> task & 1:
             return True
         if not state.mark_infeasible(task, worker):
             return False
         pending_marks.append((task, worker))
         return True
 
+    pinned(t, w)
     while pending_assign or pending_marks:
         if pending_assign:
-            a = pending_assign.pop()
-            wa = asg[a]
-            for w2 in range(m):
-                if w2 != wa and not mark(a, w2):
-                    return True
+            a, wa = pending_assign.pop()
             # continuity forcing against every task already pinned on wa
-            for b, wb in list(asg.items()):
-                if wb != wa or b == a:
-                    continue
+            for b in iter_bits(on_worker[wa] & ~(1 << a)):
                 for j in iter_bits(succ_star[a] & pred_star[b] | succ_star[b] & pred_star[a]):
-                    if j in asg:
-                        if asg[j] != wa:
+                    if state.assigned >> j & 1:
+                        if not on_worker[wa] >> j & 1:
                             return True
                         continue
-                    if eff[j][wa] == INFEASIBLE or not _assign(state, j, wa):
+                    if not feasible[wa] >> j & 1 or not set_assignment(state, j, wa):
                         return True
-                    pending_assign.append(j)
-            # infeasible intermediates already present around a
+                    pinned(j, wa)
+            # closed intermediates already present around a
             for star in (succ_star, pred_star):
                 for j in iter_bits(star[a] & ~feasible[wa]):
                     for k in iter_bits(star[j] & feasible[wa]):
                         if not mark(k, wa):
                             return True
             # chain-load exclusion relative to the incumbent
-            pa = eff[a][wa]
+            pa = times[a][wa]
             after_a, before_a = succ_star[a], pred_star[a]
-            for t2 in iter_bits((after_a | before_a) & feasible[wa]):
-                if t2 in asg:
-                    continue
-                total = pa + eff[t2][wa]
+            for t2 in iter_bits((after_a | before_a) & feasible[wa] & ~on_worker[wa]):
+                total = pa + times[t2][wa]
                 for u in iter_bits(after_a & pred_star[t2] | succ_star[t2] & before_a):
-                    total += eff[u][wa]
+                    total += times[u][wa]
                 if total >= gub and not mark(t2, wa):
                     return True
         else:
             j, wj = pending_marks.pop()
             # propagate exclusions induced by the fresh mark
-            on_wj = state.on_worker[wj]
+            on_wj = on_worker[wj]
             for star, star_rev in ((succ_star, pred_star), (pred_star, succ_star)):
                 if star_rev[j] & on_wj:
                     for k in iter_bits(star[j] & feasible[wj]):
@@ -307,18 +299,19 @@ def select_branch_task(state, gub):
     feasible workers, in worker order."""
     inst = state.inst
     m = inst.n_workers
-    eff = state.eff
+    times = inst.times
+    feasible = state.feasible
     p_min = state.p_min
     total = state.total
     loads = state.loads
     max_load = max(loads)
     rows = state.order_graph.rows
-    asg = state.assignment
+    assigned = state.assigned
     pred_workers, succ_workers = state.pred_star_workers, state.succ_star_workers
     blocked_by = {}  # many tasks share their neighbour workers
     best = None
     for t in range(inst.n_tasks):
-        if t in asg:
+        if assigned >> t & 1:
             continue
         neighbours = pred_workers[t] | succ_workers[t] << m
         blocked = blocked_by.get(neighbours)
@@ -327,9 +320,11 @@ def select_branch_task(state, gub):
         rest = total - p_min[t]
         pairs = []
         low = math.inf
-        for w, p in enumerate(eff[t]):
-            if p == INFEASIBLE or blocked >> w & 1:
+        row = times[t]
+        for w in range(m):
+            if blocked >> w & 1 or not feasible[w] >> t & 1:
                 continue
+            p = row[w]
             after = loads[w] + p
             share = -(-(rest + p) // m)
             if share > after:
@@ -409,12 +404,15 @@ class _Search:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _TimeUp
         inst = self.inst
-        if len(state.assignment) == inst.n_tasks:
+        if state.assigned == (1 << inst.n_tasks) - 1:
             value = max(state.loads)
             if value < self.gub:
                 self.gub = value
                 order = state.order_graph.topological_order()
-                assignment = [state.assignment[t] for t in range(inst.n_tasks)]
+                assignment = [0] * inst.n_tasks
+                for w, tasks in enumerate(state.on_worker):
+                    for t in iter_bits(tasks):
+                        assignment[t] = w
                 self.incumbent = Solution(order, assignment, value)
             return
         # pairs holds every worker the task can go to below the incumbent

@@ -56,12 +56,6 @@ class BoundReport:
         raise KeyError(name)
 
 
-@dataclass
-class StationWindow:
-    earliest: tuple
-    latest: tuple
-
-
 def _ceil_div(a, b):
     return -(-a // b)
 
@@ -89,17 +83,6 @@ def _lc2(p_desc, m):
         top = k * m  # 0-based index of position k*m+1
         best = max(best, sum(p_desc[top - k : top + 1]))
     return best
-
-
-def station_windows(inst, cycle_time):
-    """Earliest and latest feasible station of each task at a candidate
-    cycle time, both 1-based. The window may be empty (earliest > latest)."""
-    heads, tails = inst.heads_tails
-    m = inst.n_workers
-    return StationWindow(
-        tuple(_ceil_div(h, cycle_time) for h in heads),
-        tuple(m + 1 - _ceil_div(t, cycle_time) for t in tails),
-    )
 
 
 def lc3(inst):
@@ -337,7 +320,7 @@ def _l1_additive(times, l1, lam, upper):
     return max(l1, a)
 
 
-def _disjunction_value(times, base):
+def _disjunction_value(times):
     """Strengthening by a disjunction on the machine of a single task.
 
     For each task, the bound conditional on placing it on machine w is the
@@ -359,18 +342,14 @@ def _disjunction_value(times, base):
     conditional = np.maximum(times, others_max[:, None])
     conditional = np.maximum(conditional, np.ceil((rest[:, None] + times) / m - 1e-9))
     per_task = np.min(conditional, axis=1)  # inf cells dominate and drop out
-    return max(base, int(per_task.max()))
+    return int(per_task.max())
 
 
 def _precedence_free_makespan(times):
-    """Makespan S of a schedule that ignores precedence: every task on its
-    cheapest machine, then the move descent of _descend."""
+    """Makespan S of a schedule that ignores precedence: _repair of the
+    packing that puts every task on its cheapest machine alone."""
     rows = times.tolist()
-    where = [row.index(min(row)) for row in rows]
-    loads = [0.0] * len(rows[0])
-    for row, w in zip(rows, where):
-        loads[w] += row[w]
-    return _descend(rows, where, loads)
+    return _repair(rows, [[row.index(min(row))] for row in rows])
 
 
 def _descend(rows, where, loads):
@@ -526,7 +505,7 @@ def _relaxation_bounds(times, l1_iters, l2_iters):
     best_val, lam, upper = _l1_ascent(times, l1_iters, upper)
     l1 = _l1_of(best_val, int(times.min(axis=1).max()))
     l1a = l1 if l1 >= upper else _l1_additive(times, l1, lam, upper)
-    disjunction = _disjunction_value(times, 0)
+    disjunction = _disjunction_value(times)
     return {
         "L1": l1,
         "L1a": l1a,

@@ -99,6 +99,21 @@ def star_sums(inst, p):
     return heads, tails
 
 
+def node_matrix(state):
+    """A search node's reduced time matrix: the instance's times with every
+    closed cell read as INFEASIBLE."""
+    inst = state.inst
+    return [
+        [p if state.feasible[w] >> t & 1 else INFEASIBLE for w, p in enumerate(row)]
+        for t, row in enumerate(inst.times)
+    ]
+
+
+def node_assignment(state):
+    """A search node's assigned tasks, as a task -> worker dict."""
+    return {t: w for w, tasks in enumerate(state.on_worker) for t in iter_bits(tasks)}
+
+
 def rcmax_optimal(inst):
     """Exhaustive makespan optimum with precedence constraints dropped."""
     best = INFEASIBLE

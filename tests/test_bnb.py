@@ -35,7 +35,14 @@ from alwabp.bnb import (
     set_assignment,
 )
 from alwabp.instance import iter_bits, topological_order
-from conftest import count_calls, random_instance, scale_instance, star_sums
+from conftest import (
+    count_calls,
+    node_assignment,
+    node_matrix,
+    random_instance,
+    scale_instance,
+    star_sums,
+)
 
 
 def has_arc(h, v, w):
@@ -151,7 +158,7 @@ class TestAssignmentValidity:
                     set_assignment(state, t, w)
             assert graph_arcs(state.order_graph) == transitive_closure(assignment_arcs(state), inst.n_workers)
             for t in range(inst.n_tasks):
-                if t not in state.assignment:
+                if t not in node_assignment(state):
                     for w in range(inst.n_workers):
                         valid = set_assignment(state.child(), t, w)
                         assert valid == reference_valid(state, t, w)
@@ -161,14 +168,14 @@ class TestAssignmentValidity:
 
 def assignment_arcs(state, asg=None):
     """Worker order arcs implied by an assignment through the task closure."""
-    asg = state.assignment if asg is None else asg
+    asg = node_assignment(state) if asg is None else asg
     return {(asg[a], asg[b]) for a, b in state.inst.closure if a in asg and b in asg and asg[a] != asg[b]}
 
 
 def reference_valid(state, t, w):
     """True iff assigning t to w leaves the implied worker digraph acyclic."""
     succ = [[] for _ in range(state.inst.n_workers)]
-    for v, x in assignment_arcs(state, {**state.assignment, t: w}):
+    for v, x in assignment_arcs(state, {**node_assignment(state), t: w}):
         succ[v].append(x)
     try:
         topological_order(succ, state.inst.n_workers)
@@ -197,11 +204,11 @@ class TestSetUnset:
         before = snapshot(state)
         child = state.child()
         set_assignment(child, 1, 1)
-        assert math.isinf(child.eff[1][0]) and math.isinf(child.eff[1][2])
-        assert child.eff[1][1] == 5
-        assert min(child.eff[1]) == 5
+        assert math.isinf(node_matrix(child)[1][0]) and math.isinf(node_matrix(child)[1][2])
+        assert node_matrix(child)[1][1] == 5
+        assert min(node_matrix(child)[1]) == 5
         assert snapshot(state) == before
-        assert list(state.eff[1]) == [4, 5, 4]
+        assert list(node_matrix(state)[1]) == [4, 5, 4]
 
     def test_rules_propagate_the_pin(self):
         # t1 on w1 after t0 on w0: the pin's mark (t1, w0) must reach the
@@ -212,7 +219,7 @@ class TestSetUnset:
         assert not apply_reduction_rules(state, 0, 0, gub=math.inf)
         set_assignment(state, 1, 1)
         assert not apply_reduction_rules(state, 1, 1, gub=math.inf)
-        assert math.isinf(state.eff[2][0])
+        assert math.isinf(node_matrix(state)[2][0])
 
     def test_direct_edge_creates_arc(self, fig1):
         state = SearchState(fig1)
@@ -241,7 +248,7 @@ class TestSetUnset:
 
 
 # the fields of a node that are not caches of the others
-BASE_FIELDS = ("eff", "assignment", "on_worker", "loads", "order_graph")
+BASE_FIELDS = ("feasible", "on_worker", "loads", "order_graph")
 
 
 def node_caches(state):
@@ -250,16 +257,15 @@ def node_caches(state):
 
 
 def recomputed_caches(state):
-    """Every cached field of a node, rebuilt from its matrix and assignment
-    alone; a field added to SearchState fails the comparison with
-    node_caches until it is rebuilt here too."""
+    """Every cached field of a node, rebuilt from its open cells and
+    assignment alone; a field added to SearchState fails the comparison
+    with node_caches until it is rebuilt here too."""
     inst = state.inst
-    n, m = inst.n_tasks, inst.n_workers
-    asg = state.assignment
-    p_min = [min(row) for row in state.eff]
+    n = inst.n_tasks
+    asg = node_assignment(state)
+    p_min = [min(row) for row in node_matrix(state)]
     heads = [p_min[t] + sum(p_min[a] for a, b in inst.closure if b == t) for t in range(n)]
     tails = [p_min[t] + sum(p_min[b] for a, b in inst.closure if a == t) for t in range(n)]
-    feasible = [sum(1 << t for t in range(n) if not math.isinf(state.eff[t][w])) for w in range(m)]
 
     def workers(pairs, t, ahead):
         # workers holding an assigned task u with (u, t) in pairs when
@@ -267,11 +273,11 @@ def recomputed_caches(state):
         return bits({asg[u] for u in range(n) if u in asg and ((u, t) if ahead else (t, u)) in pairs})
 
     return {
+        "assigned": bits(asg),
         "p_min": p_min,
         "total": sum(p_min),
         "heads": heads,
         "tails": tails,
-        "feasible": feasible,
         "pred_star_workers": [workers(inst.closure, t, True) for t in range(n)],
         "succ_star_workers": [workers(inst.closure, t, False) for t in range(n)],
     }
@@ -290,9 +296,9 @@ class TestNodeCaches:
             gub = rng.choice([math.inf, int(1.2 * bounds.lc1(inst)) + 1])
             state = SearchState(inst)
             assert node_caches(state) == recomputed_caches(state)
-            while len(state.assignment) < inst.n_tasks:
-                t = rng.choice([t for t in range(inst.n_tasks) if t not in state.assignment])
-                w = rng.choice([w for w in range(inst.n_workers) if not math.isinf(state.eff[t][w])])
+            while len(node_assignment(state)) < inst.n_tasks:
+                t = rng.choice([t for t in range(inst.n_tasks) if t not in node_assignment(state)])
+                w = rng.choice([w for w in range(inst.n_workers) if not math.isinf(node_matrix(state)[t][w])])
                 before = snapshot(state)
                 child = state.child()
                 alive = set_assignment(child, t, w)
@@ -319,14 +325,73 @@ class TestNodeCaches:
             nodes += branch_and_bound(inst, BnbConfig(heuristic_on=False)).nodes
             root = SearchState(inst)
             for t in range(inst.n_tasks):
-                if t in root.assignment:
+                if t in node_assignment(root):
                     continue
-                w = max(w for w, p in enumerate(root.eff[t]) if p != INFEASIBLE)
+                w = max(w for w, p in enumerate(node_matrix(root)[t]) if p != INFEASIBLE)
                 if not set_assignment(root, t, w) or apply_reduction_rules(root, t, w, math.inf):
                     break
             assert root.heads != heads
             assert [list(view) for view in inst.heads_tails] == [heads, tails]
         assert nodes > 20
+
+
+def reference_rules(state, pinned, gub):
+    """Order-free restatement of the reduction rules on a node whose tasks
+    `pinned` were just assigned: R1 and both R2 rules are applied to every
+    cell, and R3 to the tasks of `pinned` and those forced meanwhile, until
+    nothing changes. A forced task goes through set_assignment, which
+    rejects a worker that would close a cycle. Returns True when the node
+    is dead."""
+    inst = state.inst
+    n, m = inst.n_tasks, inst.n_workers
+    pinned = list(pinned)
+
+    def between(a, b):
+        return list(iter_bits(inst.succ_star[a] & inst.pred_star[b]))
+
+    while True:
+        asg, eff = node_assignment(state), node_matrix(state)
+        # R2: a task between two tasks of one worker joins them
+        forced = next(
+            ((j, w) for a, w in asg.items() for b, v in asg.items() if v == w for j in between(a, b) if asg.get(j) != w),
+            None,
+        )
+        if forced is not None:
+            j, w = forced
+            if j in asg or math.isinf(eff[j][w]) or not set_assignment(state, j, w):
+                return True
+            pinned.append(j)
+            continue
+        cuts = set()
+        for a, w in asg.items():
+            # R1: an assigned task keeps its own cell only
+            cuts.update((a, v) for v in range(m) if v != w)
+            # R2: on a's worker, every task beyond a closed cell is cut
+            for j in range(n):
+                if math.isinf(eff[j][w]):
+                    if inst.succ_star[a] >> j & 1:
+                        cuts.update((k, w) for k in iter_bits(inst.succ_star[j]))
+                    if inst.pred_star[a] >> j & 1:
+                        cuts.update((k, w) for k in iter_bits(inst.pred_star[j]))
+        # R3: a cell whose chain to a pinned task reaches the incumbent is cut
+        for a in pinned:
+            w = asg[a]
+            for t in range(n):
+                if t in asg or not (inst.succ_star[a] | inst.pred_star[a]) >> t & 1:
+                    continue
+                chain = [a, t, *between(a, t), *between(t, a)]
+                if sum(inst.times[u][w] for u in chain) >= gub:
+                    cuts.add((t, w))
+        changed = False
+        for t, w in cuts:
+            if asg.get(t) == w:
+                return True
+            if not math.isinf(eff[t][w]):
+                if not state.mark_infeasible(t, w):
+                    return True
+                changed = True
+        if not changed:
+            return False
 
 
 class TestReductionRules:
@@ -335,8 +400,8 @@ class TestReductionRules:
         set_assignment(state, 0, 2)
         dead = apply_reduction_rules(state, 0, 2, gub=100)
         assert not dead
-        assert math.isinf(state.eff[0][0])
-        assert math.isinf(state.eff[0][1])
+        assert math.isinf(node_matrix(state)[0][0])
+        assert math.isinf(node_matrix(state)[0][1])
 
     def test_chain_load_exclusion(self, fig1):
         # tasks 2, 3, 5 lie between tasks 1 and 6; their worker-1 times plus
@@ -345,13 +410,13 @@ class TestReductionRules:
         set_assignment(state, 0, 0)
         dead = apply_reduction_rules(state, 0, 0, gub=7)
         assert not dead
-        assert math.isinf(state.eff[5][0])
+        assert math.isinf(node_matrix(state)[5][0])
 
     def test_no_exclusion_with_loose_incumbent(self, fig1):
         state = SearchState(fig1)
         set_assignment(state, 0, 0)
         apply_reduction_rules(state, 0, 0, gub=100)
-        assert not math.isinf(state.eff[5][0])
+        assert not math.isinf(node_matrix(state)[5][0])
 
     def test_forced_task_contradiction_is_dead(self):
         inst = Instance([[1, 1], [INFEASIBLE, 1], [1, 1]], {(0, 1), (1, 2)})
@@ -367,7 +432,7 @@ class TestReductionRules:
         state = SearchState(inst)
         set_assignment(state, 0, 0)
         assert not apply_reduction_rules(state, 0, 0, gub=100)
-        assert math.isinf(state.eff[2][0])
+        assert math.isinf(node_matrix(state)[2][0])
 
     def test_forcing_assigns_between_task(self, fig1):
         state = SearchState(fig1)
@@ -376,7 +441,7 @@ class TestReductionRules:
         set_assignment(state, 3, 0)
         dead = apply_reduction_rules(state, 3, 0, gub=100)
         assert not dead
-        assert state.assignment[2] == 0  # t3 sits between t1 and t4
+        assert node_assignment(state)[2] == 0  # t3 sits between t1 and t4
 
     def test_rules_undo_cleanly(self, fig1):
         # every child, alive or dead (given up half-way through its rules),
@@ -388,7 +453,7 @@ class TestReductionRules:
         dead = 0
         for t in range(fig1.n_tasks):
             for w in range(fig1.n_workers):
-                if t in state.assignment or math.isinf(state.eff[t][w]):
+                if t in node_assignment(state) or math.isinf(node_matrix(state)[t][w]):
                     continue
                 child = state.child()
                 if set_assignment(child, t, w):
@@ -397,31 +462,84 @@ class TestReductionRules:
         assert dead
 
 
+    def test_rules_reach_the_fixpoint_of_a_naive_restatement(self):
+        # on random nodes built by the search's own steps, the rules and the
+        # order-free reference agree; with a finite incumbent, a chain that
+        # reaches it may end as a dead node in one order and as a load at
+        # the incumbent in the other, and the search drops both
+        compared = {"inf": 0, "finite": 0}
+        dead = {"inf": 0, "finite": 0}
+        r3_cuts = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            inst = random_instance(seed, n_tasks=rng.randint(6, 14), n_workers=rng.randint(2, 4))
+            finite = seed % 2 == 1
+            kind = "finite" if finite else "inf"
+            gub = int(1.2 * bounds.lc1(inst)) + 1 if finite else math.inf
+            state = SearchState(inst)
+            for _ in range(rng.randint(0, inst.n_tasks - 1)):
+                t = rng.choice([t for t in range(inst.n_tasks) if t not in node_assignment(state)])
+                w = rng.choice([w for w in range(inst.n_workers) if not math.isinf(node_matrix(state)[t][w])])
+                child = state.child()
+                if not set_assignment(child, t, w) or apply_reduction_rules(child, t, w, gub):
+                    continue
+                state = child
+                if len(node_assignment(state)) == inst.n_tasks:
+                    break
+            for t in range(inst.n_tasks):
+                for w in range(inst.n_workers):
+                    if t in node_assignment(state) or math.isinf(node_matrix(state)[t][w]):
+                        continue
+                    rules, reference = state.child(), state.child()
+                    if not set_assignment(rules, t, w):
+                        continue
+                    assert set_assignment(reference, t, w)
+                    rules_dead = apply_reduction_rules(rules, t, w, gub)
+                    reference_dead = reference_rules(reference, [t], gub)
+                    if finite:
+                        rules_dead = rules_dead or max(rules.loads) >= gub
+                        reference_dead = reference_dead or max(reference.loads) >= gub
+                    assert rules_dead == reference_dead, (seed, t, w)
+                    dead[kind] += rules_dead
+                    if rules_dead:
+                        continue
+                    assert rules.feasible == reference.feasible, (seed, t, w)
+                    assert node_assignment(rules) == node_assignment(reference), (seed, t, w)
+                    compared[kind] += 1
+                    if finite:
+                        loose = state.child()
+                        set_assignment(loose, t, w)
+                        apply_reduction_rules(loose, t, w, math.inf)
+                        r3_cuts += loose.feasible != rules.feasible
+        assert min(compared.values()) > 400 and min(dead.values()) > 40 and r3_cuts > 40, (compared, dead, r3_cuts)
+
+
 def reference_branch_choice(state, gub):
     """Transparent restatement of the three-level branching rule; returns
     the task and the (bound, worker) pairs of its feasible workers."""
     inst = state.inst
-    p_min = [min(state.eff[t][w] for w in range(inst.n_workers)) for t in range(inst.n_tasks)]
+    eff, asg = node_matrix(state), node_assignment(state)
+    p_min = [min(eff[t][w] for w in range(inst.n_workers)) for t in range(inst.n_tasks)]
     total = sum(p_min)
     max_load = max(state.loads)
     scored = []
     for t in range(inst.n_tasks):
-        if t in state.assignment:
+        if t in asg:
             continue
         infeasible = 0
         pairs = []
         for w in range(inst.n_workers):
-            cell = state.eff[t][w]
+            cell = eff[t][w]
             if math.isinf(cell):
                 infeasible += 1
                 continue
             cyclic = False
             for u in iter_bits(inst.pred_star[t]):
-                v = state.assignment.get(u)
+                v = asg.get(u)
                 if v is not None and v != w and has_arc(state.order_graph, w, v):
                     cyclic = True
             for u in iter_bits(inst.succ_star[t]):
-                x = state.assignment.get(u)
+                x = asg.get(u)
                 if x is not None and x != w and has_arc(state.order_graph, x, w):
                     cyclic = True
             if cyclic:
@@ -470,11 +588,12 @@ class TestBranchSelection:
 
         def checked(state, gub):
             rows = state.order_graph.rows
+            asg, eff = node_assignment(state), node_matrix(state)
             for t in range(state.inst.n_tasks):
-                if t in state.assignment:
+                if t in asg:
                     continue
                 blocked = bnb._cycle_workers(rows, state.pred_star_workers[t], state.succ_star_workers[t])
-                for w, p in enumerate(state.eff[t]):
+                for w, p in enumerate(eff[t]):
                     if p != INFEASIBLE:
                         assert set_assignment(state.child(), t, w) != bool(blocked >> w & 1)
             t, pairs = select(state, gub)
@@ -505,7 +624,7 @@ class TestBranchSelection:
         t, pairs = select_branch_task(state, gub=math.inf)
         assert 0 in [w for _, w in pairs]  # the loaded worker is scored
         for after, w in pairs:
-            assert after >= state.loads[w] + state.eff[t][w]
+            assert after >= state.loads[w] + node_matrix(state)[t][w]
 
 
 class TestNodeBound:
@@ -515,7 +634,7 @@ class TestNodeBound:
         for seed in range(20):
             inst = random_instance(seed)
             state = SearchState(inst)
-            w = next(w for w in range(inst.n_workers) if not math.isinf(state.eff[0][w]))
+            w = next(w for w in range(inst.n_workers) if not math.isinf(node_matrix(state)[0][w]))
             set_assignment(state, 0, w)
             assert _node_bound(state, math.inf) >= state.loads[w]
         assert ascents == []
@@ -535,7 +654,7 @@ class TestNodeBound:
                 w0 = next(w for w in range(inst.n_workers) if inst.times[t0][w] != INFEASIBLE)
                 set_assignment(state, t0, w0)
                 apply_reduction_rules(state, t0, w0, gub=60)
-            p = [int(min(row)) for row in state.eff]
+            p = [int(min(row)) for row in node_matrix(state)]
             m = inst.n_workers
             before = max(max(state.loads), max(p), -(-sum(p) // m), bounds._lc2(sorted(p, reverse=True), m))
             heads, tails = star_sums(inst, p)

@@ -16,7 +16,6 @@ from alwabp import (
     lc2,
     lc3,
     parse_instance,
-    station_windows,
 )
 from alwabp.bounds import ALL_BOUNDS, DEFAULT_L1_ITERS, DEFAULT_L2_ITERS, NATIVE_BOUNDS
 from conftest import count_calls, rcmax_optimal, random_instance, scale_instance, star_sums
@@ -58,27 +57,22 @@ class TestLC2:
 
 
 class TestStationWindows:
+    """The station window of a task at cycle time c, from the instance's
+    heads and tails: [ceil(head / c), m + 1 - ceil(tail / c)]."""
+
+    @staticmethod
+    def window(inst, task, c):
+        heads, tails = inst.heads_tails
+        return math.ceil(heads[task] / c), inst.n_workers + 1 - math.ceil(tails[task] / c)
+
     def test_fig1_c6_task6(self, fig1):
-        win = station_windows(fig1, 6)
-        assert win.earliest[5] == 3
-        assert win.latest[5] == 3
+        assert self.window(fig1, 5, 6) == (3, 3)
+        assert bounds._lc3_search(*fig1.heads_tails, fig1.n_workers, 6, 6) == 6
 
     def test_fig1_c4_task6_empty(self, fig1):
-        win = station_windows(fig1, 4)
-        assert win.earliest[5] == 4
-        assert win.latest[5] == 3
-
-    def test_single(self, single):
-        win = station_windows(single, 7)
-        assert win.earliest == (1,)
-        assert win.latest == (1,)
-
-    def test_monotone_in_cycle_time(self, fig1):
-        for c in range(1, 20):
-            a, b = station_windows(fig1, c), station_windows(fig1, c + 1)
-            for t in range(6):
-                assert b.earliest[t] <= a.earliest[t]
-                assert b.latest[t] >= a.latest[t]
+        assert self.window(fig1, 5, 4) == (4, 3)
+        # the empty window at 4 pushes the search past it
+        assert bounds._lc3_search(*fig1.heads_tails, fig1.n_workers, 4, 6) == 5
 
 
 def reference_windows(inst, p, c):
@@ -110,12 +104,6 @@ class TestLC3Window:
             random_instance(9300 + k, 12 + 4 * k, 3 + k % 4) for k in range(8)
         ] + [scale_instance()]
 
-    def test_station_windows_match_star_sums(self):
-        for inst in self.cases():
-            for c in range(1, sum(inst.min_times) + 2, 3):
-                win = station_windows(inst, c)
-                assert (list(win.earliest), list(win.latest)) == reference_windows(inst, inst.min_times, c)
-
     def test_window_search_clamps_the_full_value(self):
         rng = np.random.default_rng(17)
         for inst in self.cases():
@@ -133,9 +121,13 @@ class TestLC3Window:
 class TestLC3:
     def test_fig1(self, fig1):
         assert lc3(fig1) == 5
-        win4, win5 = station_windows(fig1, 4), station_windows(fig1, 5)
-        assert any(e > l for e, l in zip(win4.earliest, win4.latest))
-        assert all(e <= l for e, l in zip(win5.earliest, win5.latest))
+        # at C = 4 the last task's window [4, 3] is empty; at 5 every window
+        # holds a station, and at 6 the last task's is [3, 3]
+        win4, win5, win6 = (reference_windows(fig1, fig1.min_times, c) for c in (4, 5, 6))
+        assert any(e > l for e, l in zip(*win4))
+        assert all(e <= l for e, l in zip(*win5))
+        assert (win4[0][5], win4[1][5]) == (4, 3)
+        assert (win6[0][5], win6[1][5]) == (3, 3)
 
     def test_single(self, single):
         # the lone task needs ceil(7 / C) <= 1 station, so C must reach 7
@@ -476,7 +468,7 @@ def reference_l1_chain(times, max_iters=DEFAULT_L1_ITERS):
         lam /= lam.sum()
     l1 = max(math.ceil(best_val - 1e-9), int(times.min(axis=1).max()))
     l1a = bounds._l1_additive(times, l1, best_lam, math.inf)
-    return [l1, l1a, bounds._disjunction_value(times, l1a)]
+    return [l1, l1a, max(l1a, bounds._disjunction_value(times))]
 
 
 class TestL2Stop:
@@ -527,7 +519,7 @@ class TestL2Stop:
             counts.append(len(iterations))
             l1 = bounds._l1_of(best_val, int(times.min(axis=1).max()))
             l1a = l1 if l1 >= upper else bounds._l1_additive(times, l1, lam, upper)
-            assert [l1, l1a, bounds._disjunction_value(times, l1a)] == expected
+            assert [l1, l1a, max(l1a, bounds._disjunction_value(times))] == expected
         assert max(counts) == DEFAULT_L1_ITERS
         # the stop at U skipped iterations that the reference ran (the
         # reference itself ends early when the subgradient vanishes)

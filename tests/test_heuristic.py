@@ -27,7 +27,14 @@ from alwabp import Solution, heuristic
 from alwabp.bnb import SearchState, apply_reduction_rules, set_assignment
 from alwabp.heuristic import _UNIFORM_BLOCK, _draw, _fill_station, _rlb_sum
 from alwabp.instance import iter_bits
-from conftest import NARROW_BEAM_FAILS_TEXT, count_calls, random_instance, scale_instance
+from conftest import (
+    NARROW_BEAM_FAILS_TEXT,
+    count_calls,
+    node_assignment,
+    node_matrix,
+    random_instance,
+    scale_instance,
+)
 
 
 class TestMaxPw:
@@ -212,7 +219,7 @@ class TestStrengthen:
         set_assignment(state, 0, 0)
         set_assignment(state, 3, 0)
         assert not apply_reduction_rules(state, 3, 0, gub=math.inf)
-        assert state.assignment[2] == 0
+        assert node_assignment(state)[2] == 0
 
     def test_forced_onto_infeasible_is_dead(self):
         inst = Instance([[1, 1], [INFEASIBLE, 1], [1, 1]], {(0, 1), (1, 2)})
@@ -227,7 +234,7 @@ class TestStrengthen:
         state = SearchState(inst)
         set_assignment(state, 0, 0)
         assert not apply_reduction_rules(state, 0, 0, gub=math.inf)
-        assert math.isinf(state.eff[2][0])
+        assert math.isinf(node_matrix(state)[2][0])
 
     def test_score_unchanged_on_forward_built_states(self):
         # on states built station by station in precedence order, the
@@ -254,7 +261,7 @@ class TestStrengthen:
                         if not dead:
                             set_assignment(state, t, w)
                             dead = apply_reduction_rules(state, t, w, gub=math.inf)
-                            forced = state.assignment.keys() - set(iter_bits(assigned_mask))
+                            forced = node_assignment(state).keys() - set(iter_bits(assigned_mask))
                             assert dead or not forced, f"seed {seed}"
             score = _rlb_sum(inst, assigned_mask, workers_mask)
             if dead:
@@ -263,7 +270,7 @@ class TestStrengthen:
             unassigned = [t for t in range(inst.n_tasks) if not (assigned_mask >> t) & 1]
             workers = list(iter_bits(workers_mask))
             if unassigned and workers:
-                mins = [min(state.eff[t][w] for w in workers) for t in unassigned]
+                mins = [min(node_matrix(state)[t][w] for w in workers) for t in unassigned]
                 expected = None if any(math.isinf(x) for x in mins) else int(sum(mins))
                 assert score == expected, f"seed {seed}"
 
