@@ -100,11 +100,17 @@ def _lc3_search(heads, tails, m, lo, hi):
     if there is none. That is min(max(LC3, lo), hi) for lo >= max(1, max of
     the times). The root lc3 passes the full range; a node bound, which only
     asks whether LC3 reaches the incumbent, passes the value it already has
-    and the incumbent, with the heads and tails it keeps current."""
+    and the incumbent, with the heads and tails it keeps current.
+
+    Only tasks with h + t > m * lo are tested: ceil(h / c) + ceil(t / c) is
+    below (h + t) / c + 2, so it is at most m + 1 once h + t <= m * c, and
+    every c tested is at least lo."""
     limit = m + 1
+    floor = m * lo
+    pairs = [(h, t) for h, t in zip(heads, tails) if h + t > floor]
     while lo < hi:
         mid = (lo + hi) // 2
-        if all(-(-h // mid) - (-t // mid) <= limit for h, t in zip(heads, tails)):
+        if all(-(-h // mid) - (-t // mid) <= limit for h, t in pairs):
             hi = mid
         else:
             lo = mid + 1

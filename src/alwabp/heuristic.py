@@ -70,14 +70,15 @@ class IpbsParams:
 
 
 class PartialAssignment:
-    """State of a partially built line: stations closed so far, the assigned
-    and available (all predecessors assigned) tasks, and the workers that
-    have no station yet, as bit masks."""
+    """State of a partially built line: stations closed so far, as
+    (worker, task mask, load) triples, the assigned and available (all
+    predecessors assigned) tasks, and the workers that have no station yet,
+    as bit masks."""
 
     __slots__ = ("stations", "assigned_mask", "avail_mask", "workers_mask")
 
     def __init__(self, inst, stations=(), assigned_mask=0, avail_mask=None, workers_mask=None):
-        self.stations = stations  # tuple of (worker, task tuple, load)
+        self.stations = stations
         self.assigned_mask = assigned_mask
         if avail_mask is None:
             avail_mask = sum(1 << t for t in range(inst.n_tasks) if not inst.pred_mask[t])
@@ -154,18 +155,19 @@ def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
     (_draw finds it by byte-chunk lookups); a lone candidate is taken
     without a draw. u is the next rng.random() value: uniforms holds a block
     of them, drawn _UNIFORM_BLOCK at a time and popped from the end, so the
-    values are those of one scalar call per draw."""
+    values are those of one scalar call per draw. Returns the assigned and
+    available masks after the fill, its load and the mask of the tasks it
+    placed."""
     fit_times = tables.fit_times[w]
     fit_masks = tables.fit_masks[w]
     pw = tables.pw
     pw_chunks = tables.pw_chunks
-    times = inst.times
+    column = tables.columns[w]
     pred_mask = inst.pred_mask
     successors = tables.successors
     avail = node.avail_mask
     assigned = node.assigned_mask
     load = 0
-    chosen = []
     while True:
         cands = avail & fit_masks[bisect_right(fit_times, capacity - load)]
         if not cands:
@@ -176,15 +178,14 @@ def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
             t = _draw(cands, uniforms.pop(), pw, pw_chunks)
         else:
             t = cands.bit_length() - 1
-        load += times[t][w]
-        chosen.append(t)
+        load += column[t]
         bit = 1 << t
         avail ^= bit
         assigned |= bit
         for u in successors[t]:  # unassigned, as t was until now
             if pred_mask[u] & assigned == pred_mask[u]:
                 avail |= 1 << u
-    return assigned, avail, load, tuple(chosen)
+    return assigned, avail, load, assigned ^ node.assigned_mask
 
 
 def _to_solution(inst, stations, workers_mask):
@@ -193,7 +194,7 @@ def _to_solution(inst, stations, workers_mask):
     cycle = 0
     for w, tasks, load in stations:
         cycle = max(cycle, load)
-        for t in tasks:
+        for t in iter_bits(tasks):
             assignment[t] = w
     return Solution(order, assignment, cycle)
 
@@ -205,41 +206,44 @@ def beam_search_feasible(inst, params, *, deadline=None):
     the time.monotonic() deadline has passed.
 
     Two exits skip work whose outcome is already fixed, so every result is
-    the one of running all levels out:
+    the one of filling every level out:
     - a level whose smallest score exceeds the capacity times the stations
       left fails the call: each unassigned task costs at least its score
       term on any remaining worker, and each remaining station holds at most
       the capacity, so no partial in the beam can complete;
-    - the last level is decided in closed form (_last_station): with one
-      worker left, a fill takes every remaining task, whatever it draws, if
-      and only if they all fit that worker within the capacity. The first
-      such partial in beam order is the one the fills would complete first,
-      and no random number is drawn for it."""
+    - each level, the root's included, starts with a closing test
+      (_close_line) that draws nothing: a fill of worker w takes every
+      remaining task, whatever it draws, if and only if they all fit w
+      within the capacity. The first such (partial, worker) pair in beam
+      order, workers ascending, is the one whose fill would complete first,
+      in the first repeat; the fills before it would only feed a heap that
+      the return discards. With one worker left, that test decides the
+      partial, so the last level runs no fill."""
     rng = np.random.default_rng(params.seed)
     uniforms = []
     capacity = params.cycle_time
     tables = inst.beam_tables
-    full = (1 << inst.n_tasks) - 1
     beam = [PartialAssignment(inst)]
     counter = 0
-    for stations_left in range(inst.n_workers - 1, 0, -1):  # workers a child of this level has left
+    for stations_left in range(inst.n_workers - 1, -1, -1):  # workers a child of this level has left
         if deadline is not None and time.monotonic() >= deadline:
             return FAILED
+        closed = _close_line(inst, beam, capacity)
+        if closed is not FAILED or not stations_left:
+            return closed
         heap = []  # (-rlb_sum, -insertion counter, node); root is the evictee
         for node in beam:
             for _rep in range(params.beam_factor):
                 for w in iter_bits(node.workers_mask):
-                    assigned, avail, load, chosen = _fill_station(inst, node, w, capacity, rng, uniforms, tables)
+                    assigned, avail, load, placed = _fill_station(inst, node, w, capacity, rng, uniforms, tables)
                     workers = node.workers_mask ^ (1 << w)
-                    if assigned == full:
-                        return _to_solution(inst, node.stations + ((w, chosen, load),), workers)
                     score = _rlb_sum(inst, assigned, workers)
                     if score is None:
                         continue
                     counter += 1  # every scored child, so ties keep their order
                     if len(heap) == params.gamma and -score <= heap[0][0]:
                         continue  # rejected before its partial is built
-                    child = PartialAssignment(inst, node.stations + ((w, chosen, load),), assigned, avail, workers)
+                    child = PartialAssignment(inst, node.stations + ((w, placed, load),), assigned, avail, workers)
                     if len(heap) < params.gamma:
                         heapq.heappush(heap, (-score, -counter, child))
                     else:
@@ -247,21 +251,19 @@ def beam_search_feasible(inst, params, *, deadline=None):
         if not heap or -max(heap)[0] > capacity * stations_left:
             return FAILED
         beam = [item[2] for item in sorted(heap, key=lambda item: -item[1])]
-    if deadline is not None and time.monotonic() >= deadline:
-        return FAILED
-    return _last_station(inst, beam, capacity, full)
 
 
-def _last_station(inst, beam, capacity, full):
-    """The solution of the first partial in beam, each with one worker left,
-    whose remaining tasks all fit that worker within capacity; FAILED if
-    there is none."""
+def _close_line(inst, beam, capacity):
+    """The solution of the first partial in beam, and of its first remaining
+    worker in ascending order, whose remaining tasks all fit that worker
+    within capacity, as one last station; FAILED if there is none."""
+    full = (1 << inst.n_tasks) - 1
     for node in beam:
-        load = _rlb_sum(inst, node.assigned_mask, node.workers_mask)
-        if load is not None and load <= capacity:
-            w = node.workers_mask.bit_length() - 1
-            rest = tuple(iter_bits(full ^ node.assigned_mask))
-            return _to_solution(inst, node.stations + ((w, rest, load),), 0)
+        for w in iter_bits(node.workers_mask):
+            load = _rlb_sum(inst, node.assigned_mask, 1 << w)
+            if load is not None and load <= capacity:
+                station = (w, full ^ node.assigned_mask, load)
+                return _to_solution(inst, node.stations + (station,), node.workers_mask ^ (1 << w))
     return FAILED
 
 
@@ -290,6 +292,11 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     tuple per beam call; feasible is None for a call that came back empty
     after the t_max deadline had passed, which may have cut it short.
 
+    With no lower_bound given, the root bound, all_bounds(inst).best, is
+    computed only once a comparison could need it. No native bound exceeds
+    _bound_reach, so while the cycle times compared stay above that value,
+    every comparison reads the same with it in the bound's place.
+
     With params.hand_over, the initial construction is polished by local
     search first, so the first sweep starts near the frontier instead of
     walking down from a trivial line, and the search stops after the first
@@ -304,8 +311,6 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     deadline = t_start + params.t_max
     seeds = np.random.SeedSequence(params.seed)
 
-    if lower_bound is None:
-        lower_bound = lb.all_bounds(inst).best
     best = initial_upper_bound(inst, seeds.spawn(1)[0], params.gamma)
     if best is FAILED:
         return FAILED
@@ -313,15 +318,25 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     if params.hand_over:
         best = polished = local_search(inst, best)
     c_up = best.cycle_time
+    reach = _bound_reach(inst) if lower_bound is None else lower_bound
+
+    def bound_at(c):
+        # the lower bound as comparisons against c see it: reach while c is
+        # above reach, and the root bound, computed once, from then on
+        nonlocal lower_bound
+        if lower_bound is None and c <= reach:
+            lower_bound = lb.all_bounds(inst).best
+        return reach if lower_bound is None else lower_bound
 
     sweeps = 0
-    while c_up > lower_bound:
+    while c_up > bound_at(c_up):
         elapsed = time.monotonic() - t_start
         if (sweeps >= params.repetitions or elapsed >= params.t_max) and elapsed >= params.t_min:
             break
         sweeps += 1
         c_sweep = c_up
-        start = max(lower_bound, math.floor(params.interval_factor * c_up))
+        floor = math.floor(params.interval_factor * c_up)
+        start = max(bound_at(floor), floor)
         for c in range(c_up - 1, start - 1, -1):
             if c >= c_up:
                 continue
@@ -335,7 +350,7 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
             if sol is not FAILED:
                 best = sol
                 c_up = sol.cycle_time
-                if c_up <= lower_bound:
+                if c_up <= bound_at(c_up):
                     break
             if time.monotonic() >= deadline:
                 break
@@ -344,6 +359,14 @@ def ipbs(inst, params=None, *, lower_bound=None, log=None):
     if best is polished:
         return best  # already a local optimum of local_search's moves
     return local_search(inst, best)
+
+
+def _bound_reach(inst):
+    """A value that no native bound of all_bounds exceeds: the largest of
+    LC1, LC2 and LC3, computed exactly, and the makespan S of the descent
+    schedule, which bounds the precedence-free optimum and so every bound of
+    the relaxation family (see bounds)."""
+    return max(lb.lc1(inst), lb.lc2(inst), lb.lc3(inst), lb._precedence_free_makespan(inst.times_array))
 
 
 def local_search(inst, sol):

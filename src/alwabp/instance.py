@@ -212,9 +212,8 @@ def _byte_sums(weights):
     tuple of at most 8 weights (bits past its end weigh 0)."""
     weights += (0,) * (8 - len(weights))
     sums = [0]
-    for b in range(1, 256):
-        low = b & -b
-        sums.append(sums[b ^ low] + weights[low.bit_length() - 1])
+    for weight in weights:  # the bytes below 2^i, then each of them plus bit i
+        sums += [s + weight for s in sums]
     return tuple(sums)
 
 
@@ -230,14 +229,15 @@ class BeamTables:
     weight of a task mask is the sum of one lookup per byte; it holds 256
     ints per 8 tasks, 256 * ceil(n / 8) in all. successors[t] is the list
     of t's direct successors, ascending, from Instance.relation_lists: the
-    fill loop walks it once per placed task.
+    fill loop walks it once per placed task. columns[w] holds worker w's
+    time of each task, so a fill reads its load from one tuple.
 
     row_minima memoises, per mask of remaining workers, each task's minimum
     time over those workers. It holds at most one row of n ints per worker
     mask asked for, so at most 2^m rows of n.
     """
 
-    __slots__ = ("fit_times", "fit_masks", "pw", "pw_chunks", "successors", "_times", "_rows")
+    __slots__ = ("fit_times", "fit_masks", "pw", "pw_chunks", "successors", "columns", "_times", "_rows")
 
     def __init__(self, inst):
         self.fit_times = []
@@ -252,6 +252,7 @@ class BeamTables:
         self.pw = inst.heads_tails[1]
         self.pw_chunks = tuple(_byte_sums(self.pw[k : k + 8]) for k in range(0, inst.n_tasks, 8))
         self.successors = inst.relation_lists[0]
+        self.columns = tuple(zip(*inst.times))
         self._times = inst.times
         self._rows = {}
 

@@ -203,11 +203,20 @@ class TestGoldenHeur:
     seeded like acceptance criterion 9 (base times 1-99, arc density 0.04):
     30x5 low variability, 10 % infeasible, seed 3005, and 40x6 high, 20 %,
     seed 4006. Any change to the random draws of the beam search, to how
-    partials are ranked or to the interval or local search shows here."""
+    partials are ranked or to the interval or local search shows here.
+
+    The two generated instances also have reports with --verbose added, in
+    tests/golden/<name>.heur-verbose.json: their sweep logs pin the cycle
+    time and outcome of every beam call."""
 
     @pytest.mark.parametrize("path", GOLDEN_HEURS)
     def test_report_matches_golden(self, path, monkeypatch):
         assert_matches_golden(path, ["--seed", "42", *HEUR_WORKLOAD_FLAGS], "heur", monkeypatch)
+
+    @pytest.mark.parametrize("path", GOLDEN_HEURS[1:])
+    def test_sweep_log_matches_golden(self, path, monkeypatch):
+        argv = ["--seed", "42", *HEUR_WORKLOAD_FLAGS, "--verbose"]
+        assert_matches_golden(path, argv, "heur", monkeypatch, "-verbose")
 
 
 class TestGoldenBounds:

@@ -3,6 +3,7 @@ import heapq
 import math
 import time
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from alwabp import (
     parse_instance,
     validate_solution,
 )
-from alwabp import Solution, heuristic
+from alwabp import Solution, bounds, heuristic
 from alwabp.bnb import SearchState, apply_reduction_rules, set_assignment
 from alwabp.heuristic import _UNIFORM_BLOCK, _draw, _fill_station, _rlb_sum
 from alwabp.instance import iter_bits
@@ -191,8 +192,8 @@ class TestDrawKernel:
         inst = Instance([[3, 5] for _ in range(n)], {(t, t + 1) for t in range(n - 1)})
         node = heuristic.PartialAssignment(inst)
         uniforms = []
-        assigned, _, load, chosen = _fill_station(inst, node, 0, 20, NoDraws(), uniforms, inst.beam_tables)
-        assert chosen == (0, 1, 2, 3, 4, 5) and load == 18 and assigned == 0b111111
+        assigned, _, load, placed = _fill_station(inst, node, 0, 20, NoDraws(), uniforms, inst.beam_tables)
+        assert placed == 0b111111 and load == 18 and assigned == 0b111111
         assert uniforms == []
 
     def test_buffered_uniforms_equal_scalar_calls(self, monkeypatch):
@@ -292,11 +293,11 @@ def reference_beam_search(inst, params):
         for node in beam:
             for _rep in range(params.beam_factor):
                 for w in iter_bits(node.workers_mask):
-                    assigned, avail, load, chosen = _fill_station(inst, node, w, capacity, rng, uniforms, tables)
+                    assigned, avail, load, placed = _fill_station(inst, node, w, capacity, rng, uniforms, tables)
                     fills += 1
                     workers = node.workers_mask ^ (1 << w)
                     if assigned == full:
-                        return heuristic._to_solution(inst, node.stations + ((w, chosen, load),), workers), fills
+                        return heuristic._to_solution(inst, node.stations + ((w, placed, load),), workers), fills
                     score = _rlb_sum(inst, assigned, workers)
                     if score is None:
                         continue
@@ -304,7 +305,7 @@ def reference_beam_search(inst, params):
                     if len(heap) == params.gamma and -score <= heap[0][0]:
                         continue
                     child = heuristic.PartialAssignment(
-                        inst, node.stations + ((w, chosen, load),), assigned, avail, workers
+                        inst, node.stations + ((w, placed, load),), assigned, avail, workers
                     )
                     if len(heap) < params.gamma:
                         heapq.heappush(heap, (-score, -counter, child))
@@ -343,6 +344,32 @@ class TestBeamExits:
                         outcomes.add(expected is FAILED)
         assert outcomes == {True, False}
         assert len(fills) < ref_fills
+
+    def test_root_closes_without_a_fill(self, monkeypatch):
+        # worker 1 can take every task within the capacity, worker 0 cannot
+        fills = count_calls(monkeypatch, heuristic, "_fill_station")
+        inst = Instance([[9, 2], [9, 3], [INFEASIBLE, 4]], {(0, 1)})
+        for beam_factor in (1, 3):
+            params = BeamParams(cycle_time=10, gamma=2, beam_factor=beam_factor, seed=1)
+            expected, _ = reference_beam_search(inst, params)
+            assert expected == Solution((1, 0), (1, 1, 1), 9)
+            assert beam_search_feasible(inst, params) == expected
+        assert fills == []
+
+    def test_closing_level_runs_no_fill(self, monkeypatch):
+        # no worker takes all six tasks (60 > 30), but after any root fill
+        # (three tasks) the other three fit either remaining worker: only
+        # the root level's fills run
+        fills = count_calls(monkeypatch, heuristic, "_fill_station")
+        inst = Instance([[10, 10, 10] for _ in range(6)], set())
+        for gamma in (1, 4):
+            for beam_factor in (1, 2):
+                params = BeamParams(cycle_time=30, gamma=gamma, beam_factor=beam_factor, seed=gamma + beam_factor)
+                expected, ref_fills = reference_beam_search(inst, params)
+                fills.clear()
+                assert beam_search_feasible(inst, params) == expected
+                assert expected is not FAILED and expected.cycle_time == 30
+                assert len(fills) == 3 * beam_factor < ref_fills
 
 
 class TestBeamSearch:
@@ -490,6 +517,39 @@ class TestIpbs:
         feasible = parse_instance(NARROW_BEAM_FAILS_TEXT)
         assert brute_force_optimal(feasible) == 19
         assert ipbs(feasible, IpbsParams(gamma=5, t_min=0.0, seed=42)) is FAILED
+
+    def test_bound_reach_covers_every_native_bound(self):
+        for seed in range(40):
+            inst = random_instance(seed, n_tasks=6 + seed % 20, n_workers=2 + seed % 5)
+            reach = heuristic._bound_reach(inst)
+            assert all(e.value <= reach for e in all_bounds(inst).entries), seed
+
+    def test_root_bound_on_demand_changes_nothing(self):
+        # without a lower_bound, ipbs puts off the root bound until a
+        # comparison could need it; the sweeps, their outcomes and the
+        # solution are those of passing the bound in
+        reached = 0
+        for seed in range(24):
+            inst = random_instance(500 + seed, n_tasks=8 + seed % 18, n_workers=2 + seed % 5)
+            root = all_bounds(inst).best
+            params = IpbsParams(gamma=10, beam_factor=1, t_min=0, t_max=1e9, seed=seed)
+            log_lazy, log_given = [], []
+            lazy = ipbs(inst, params, log=log_lazy)
+            given = ipbs(inst, params, lower_bound=root, log=log_given)
+            assert lazy == given, seed
+            assert [entry[:2] for entry in log_lazy] == [entry[:2] for entry in log_given], seed
+            reached += any(c <= root for c, ok, _ms in log_given if ok)
+        assert reached
+
+    def test_root_bound_not_computed_above_reach(self, monkeypatch):
+        golden = Path(__file__).parent / "golden" / "heur_40x6_4006.alwabp"
+        inst = parse_instance(golden.read_text(encoding="ascii"))
+        calls = count_calls(monkeypatch, bounds, "all_bounds")
+        log = []
+        sol = ipbs(inst, IpbsParams(gamma=10, beam_factor=1, repetitions=3, t_min=0, t_max=1e9, seed=42), log=log)
+        assert validate_solution(inst, sol) == []
+        assert min(c for c, _ok, _ms in log) > heuristic._bound_reach(inst)
+        assert calls == []
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
