@@ -1,12 +1,26 @@
+import glob
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
-from alwabp import Solution, cli, generate_instance, heuristic, parse_instance, validate_solution, write_instance
+from alwabp import (
+    Solution,
+    cli,
+    emit_model,
+    generate_instance,
+    heuristic,
+    parse_instance,
+    validate_solution,
+    write_instance,
+)
 from alwabp.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main, run
 from conftest import FIG1_TEXT, NARROW_BEAM_FAILS_TEXT, SINGLE_TEXT
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 INFEASIBLE_TEXT = """\
 alwabp 1
@@ -114,6 +128,8 @@ class TestHeur:
         timed_lines = [l for l in timed.splitlines() if l.startswith("C ")]
         assert [l.rsplit(" ", 1)[0] for l in timed_lines] == sweep_lines
         assert all(l.split()[3].isdigit() for l in timed_lines)
+        lines = text.splitlines()  # the sweep lines come ahead of the report
+        assert max(i for i, l in enumerate(lines) if l.startswith("C ")) < lines.index("command heur")
 
     def test_verbose_json_is_one_document(self, fig1_path):
         # the sweep lines go into the document, not ahead of it
@@ -247,6 +263,13 @@ class TestBounds:
         assert "elapsed" not in without
 
 
+def normalised(text, **paths):
+    """text with each given path replaced by its keyword, in capitals."""
+    for name, path in paths.items():
+        text = text.replace(str(path), name.upper())
+    return text
+
+
 class TestExport:
     def test_writes_header(self, fig1_path, tmp_path):
         out = tmp_path / "fig1.lp"
@@ -255,11 +278,32 @@ class TestExport:
         assert out.read_text().startswith("\\ alwabp m3 6 3\n")
         assert f"wrote {out}" in text
 
-    def test_stdout_mode(self, fig1_path):
-        code, text = run(["export", fig1_path, "--model", "m2"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_stdout_mode(self, fig1_path, flags):
+        # with no -o there is no report, so --json changes nothing
+        code, text = run(["export", fig1_path, "--model", "m2", *flags])
         assert code == EXIT_OK
-        assert text.startswith("\\ alwabp m2 6 3\n")
-        assert text.rstrip().endswith("End")
+        assert text == (GOLDEN / "fig1_m2.lp").read_text()
+
+    @pytest.mark.parametrize("model", ["m2", "m3"])
+    def test_output_file_report(self, fig1_path, tmp_path, model):
+        out = tmp_path / "fig1.lp"
+        argv = ["export", fig1_path, "--model", model, "-o", str(out)]
+        code, text = run(argv)
+        assert code == EXIT_OK
+        assert out.read_text() == (GOLDEN / f"fig1_{model}.lp").read_text()
+        assert normalised(text, inp=fig1_path, out=out) == (
+            f"command export\nas_json false\nmodel {model}\noutput OUT\ninstance INP\n"
+            "tasks 6\nworkers 3\nwrote OUT\n"
+        )
+        code, text = run([*argv, "--json"])
+        assert code == EXIT_OK
+        report = {
+            "config": {"command": "export", "as_json": True, "model": model, "output": "OUT", "instance": "INP"},
+            "instance": {"tasks": 6, "workers": 3},
+            "wrote": "OUT",
+        }
+        assert normalised(text, inp=fig1_path, out=out) == json.dumps(report, indent=2) + "\n"
 
 
 class TestGen:
@@ -277,6 +321,27 @@ class TestGen:
         a = run(["gen", fig1_path, "--workers", "4", "--seed", "9"])
         b = run(["gen", fig1_path, "--workers", "4", "--seed", "9"])
         assert a == b
+
+    def test_output_file_report(self, fig1_path, tmp_path):
+        # the report describes the generated instance, not its base
+        out = tmp_path / "gen.alwabp"
+        argv = ["gen", fig1_path, "--workers", "5", "--seed", "3"]
+        code, text = run([*argv, "-o", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text() == run(argv)[1]
+        assert normalised(text, inp=fig1_path, out=out) == (
+            "command gen\nas_json false\ninfeasibility 0.0\noutput OUT\nseed 3\nvar low\nworkers 5\n"
+            "instance INP\ntasks 6\nworkers 5\nwrote OUT\n"
+        )
+        code, text = run([*argv, "-o", str(out), "--json"])
+        assert code == EXIT_OK
+        config = {"command": "gen", "as_json": True, "infeasibility": 0.0, "output": "OUT", "seed": 3, "var": "low"}
+        report = {
+            "config": {**config, "workers": 5, "instance": "INP"},
+            "instance": {"tasks": 6, "workers": 5},
+            "wrote": "OUT",
+        }
+        assert normalised(text, inp=fig1_path, out=out) == json.dumps(report, indent=2) + "\n"
 
 
 class TestOracle:
@@ -312,6 +377,20 @@ class TestGlob:
         reports = json.loads(text)
         assert [r["config"]["instance"] for r in reports] == paths
         assert reports == [json.loads(run(["bounds", p, "--json", "--no-timings"])[1]) for p in paths]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_export_parts(self, monkeypatch, flags):
+        # each model inside its file's part; with no -o, no report
+        monkeypatch.chdir(ROOT)
+        pattern = "tests/golden/solve_12x3_120*.alwabp"
+        code, text = run(["export", "--glob", pattern, *flags])
+        assert code == EXIT_OK
+        parts = []
+        for path in sorted(glob.glob(pattern)):
+            model = emit_model(parse_instance(Path(path).read_text()), "m3")
+            parts.append(f"file {path}\n{model}")
+        assert len(parts) == 3
+        assert text == "\n".join(parts)
 
     def test_glob_and_path_conflict(self, fig1_path):
         assert main(["bounds", fig1_path, "--glob", "*"]) == EXIT_ERROR
