@@ -1,7 +1,8 @@
 """Emitting the assignment models as LP files and checking a solution
 against every row."""
 
-from alwabp import Solution, check_solution_against_model, emit_model, parse_instance, tokenize_lp
+from alwabp import Solution, check_solution_against_model, emit_model, parse_instance
+from alwabp.export import build_model
 
 TEXT = """\
 alwabp 1
@@ -26,14 +27,12 @@ end
 
 inst = parse_instance(TEXT)
 
-m2 = emit_model(inst, "m2")
-m3 = emit_model(inst, "m3")
 print("base model, first rows:")
-print("\n".join(m2.splitlines()[:10]))
-sections = tokenize_lp(m3)
-print(f"\nbase model rows: {len(tokenize_lp(m2)['constraints'])}")
-print(f"with continuity rows: {len(sections['constraints'])}")
-print(f"binary variables: {len(sections['binaries'])}")
+print("\n".join(emit_model(inst, "m2").splitlines()[:10]))
+m3 = build_model(inst, "m3")
+print(f"\nbase model rows: {len(build_model(inst, 'm2').constraints)}")
+print(f"with continuity rows: {len(m3.constraints)}")
+print(f"binary variables: {len(m3.binaries)}")
 
 # the known-good line: worker 3 first with tasks 1 and 3, then worker 1
 # with 2 and 4, then worker 2 with 5 and 6

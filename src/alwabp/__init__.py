@@ -46,11 +46,8 @@ from .bnb import (
 from .export import (
     M2,
     M3,
-    LpSyntaxError,
-    ModelSpec,
     check_solution_against_model,
     emit_model,
-    tokenize_lp,
 )
 from .cli import main
 

@@ -372,6 +372,11 @@ class BnbConfig:
     l2_iters: int = lb.DEFAULT_L2_ITERS
     incumbent: Solution | None = None
 
+    def __post_init__(self):
+        # `not >= 0` refuses nan too: a nan deadline never passes
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be None or at least 0")
+
 
 @dataclass
 class BnbResult:

@@ -126,7 +126,8 @@ def _config_dict(args):
     config = {"command": args.command}
     for key, value in sorted(vars(args).items()):
         if key not in skip:
-            config[key] = value
+            # strict JSON has no Infinity; a seconds flag may be inf
+            config[key] = "inf" if isinstance(value, float) and math.isinf(value) else value
     return config
 
 
@@ -176,6 +177,7 @@ def _solution_block(sol):
 
 
 def _render_text(report, out):
+    out.extend(report.get("sweeps", []))
     for key, value in report["config"].items():
         out.append(f"{key} {_fmt(value)}")
     out.append(f"tasks {report['instance']['tasks']}")
@@ -208,8 +210,6 @@ def _fmt(value):
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     return str(value)
 
 
@@ -222,9 +222,7 @@ def _base_report(args, path, inst):
     }
 
 
-def _run_solve(args, path, out):
-    inst = _read_instance(path)
-    report = _base_report(args, path, inst)
+def _run_solve(args, inst, report):
     config = bnb.BnbConfig(
         time_limit=args.time_limit,
         seed=args.seed,
@@ -240,7 +238,6 @@ def _run_solve(args, path, out):
     if not args.no_timings:
         report["result"]["elapsed_s"] = round(result.elapsed_s, 6)
     report["solution"] = _solution_block(result.solution)
-    _emit(args, report, out)
     return EXIT_INFEASIBLE if result.status == bnb.INFEASIBLE_STATUS else EXIT_OK
 
 
@@ -250,9 +247,7 @@ def _sweep_line(entry, no_timings):
     return line if no_timings else f"{line} {ms}"
 
 
-def _run_heur(args, path, out):
-    inst = _read_instance(path)
-    report = _base_report(args, path, inst)
+def _run_heur(args, inst, report):
     t_max = args.t_max if args.time_limit is None else min(args.t_max, args.time_limit)
     params = heuristic.IpbsParams(
         gamma=args.gamma,
@@ -274,75 +269,42 @@ def _run_heur(args, path, out):
         if result.solution is None:
             report["result"] = {"value": None, "status": result.status}
             report["solution"] = None
-            _emit(args, report, out)
             return EXIT_INFEASIBLE if result.status == bnb.INFEASIBLE_STATUS else EXIT_OK
         sol = result.solution
     if log:
-        sweeps = [_sweep_line(entry, args.no_timings) for entry in log]
-        report["sweeps"] = sweeps
-        if not args.as_json:
-            out.extend(sweeps)
+        report["sweeps"] = [_sweep_line(entry, args.no_timings) for entry in log]
     report["result"] = {"value": sol.cycle_time, "status": "feasible"}
     report["solution"] = _solution_block(sol)
-    _emit(args, report, out)
     return EXIT_OK
 
 
-def _run_bounds(args, path, out):
-    inst = _read_instance(path)
-    report = _base_report(args, path, inst)
+def _run_bounds(args, inst, report):
     result = bounds.all_bounds(inst, bounds.ALL_BOUNDS, args.l1_iters, args.l2_iters)
     report["bounds"] = _bounds_block(result, args.no_timings)
     report["best_bound"] = result.best
-    _emit(args, report, out)
     return EXIT_OK
 
 
-def _write_text(args, path, inst, text, out):
-    """Write text to the -o file and report it, or append it to stdout."""
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-        report = _base_report(args, path, inst)
-        report["wrote"] = args.output
-        _emit(args, report, out)
-    else:
-        out.append(text.rstrip("\n"))
-    return EXIT_OK
+def _run_export(args, inst, report):
+    return export.emit_model(inst, args.model)
 
 
-def _run_export(args, path, out):
-    inst = _read_instance(path)
-    return _write_text(args, path, inst, export.emit_model(inst, args.model), out)
-
-
-def _run_gen(args, path, out):
-    base = _read_instance(path)
+def _run_gen(args, base, report):
     base_times = [base.times[t][0] for t in range(base.n_tasks)]
     if any(p == INFEASIBLE for p in base_times):
         raise AlwabpError("worker 1 of the base instance must be able to execute every task")
     inst = generate_instance(base_times, base.edges, args.workers, args.var, args.infeasibility, args.seed)
-    return _write_text(args, path, inst, write_instance(inst), out)
+    report["instance"]["workers"] = inst.n_workers  # the report is of the generated instance
+    return write_instance(inst)
 
 
-def _run_oracle(args, path, out):
-    inst = _read_instance(path)
-    report = _base_report(args, path, inst)
+def _run_oracle(args, inst, report):
     value = bnb.brute_force_optimal(inst)
     if value == INFEASIBLE:
         report["result"] = {"value": None, "status": "infeasible"}
-        _emit(args, report, out)
         return EXIT_INFEASIBLE
     report["result"] = {"value": value, "status": "optimal"}
-    _emit(args, report, out)
     return EXIT_OK
-
-
-def _emit(args, report, out):
-    if args.as_json:
-        out.append(report)  # run writes the reports as one JSON document
-    else:
-        _render_text(report, out)
 
 
 _HANDLERS = {
@@ -356,25 +318,46 @@ _HANDLERS = {
 
 
 def run(argv):
-    """Execute one subcommand; returns (exit code, report text). With --json
-    the text is one JSON document: the report, or an array of the reports
+    """Execute one subcommand; returns (exit code, output text).
+
+    For each file, run reads the instance and builds the report's base
+    block, and the subcommand's handler fills in the rest. A handler
+    returns an exit code, or, for export and gen, the model or instance
+    text: without -o that text is the file's output and no report is
+    written; with -o it goes to the file, and the report says where. Each
+    report is then written here and nowhere else. With --json the output
+    is one strict JSON document: the report, or an array of the reports
     when --glob matches several files (each names its file in
-    config.instance). Text output, and the model or instance text of export
-    and gen, starts each file's part with a `file PATH` line instead."""
+    config.instance). Text output starts each file's part with a
+    `file PATH` line instead."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     paths = _instance_paths(args)
-    out = []
+    out, reports = [], []
     code = EXIT_OK
     for i, path in enumerate(paths):
         if len(paths) > 1 and i:
             out.append("")
         if len(paths) > 1:
             out.append(f"file {path}")
-        code = max(code, _HANDLERS[args.command](args, path, out))
-    reports = [item for item in out if isinstance(item, dict)]
+        inst = _read_instance(path)
+        report = _base_report(args, path, inst)
+        result = _HANDLERS[args.command](args, inst, report)
+        if isinstance(result, str):
+            if not args.output:
+                out.append(result.rstrip("\n"))
+                continue
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(result)
+            report["wrote"] = args.output
+            result = EXIT_OK
+        code = max(code, result)
+        if args.as_json:
+            reports.append(report)
+        else:
+            _render_text(report, out)
     if reports:
-        return code, json.dumps(reports if len(paths) > 1 else reports[0], indent=2) + "\n"
+        return code, json.dumps(reports if len(paths) > 1 else reports[0], indent=2, allow_nan=False) + "\n"
     return code, "\n".join(out) + ("\n" if out else "")
 
 

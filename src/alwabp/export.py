@@ -9,19 +9,14 @@ with an unexecutable intermediate cannot share the worker.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from .instance import INFEASIBLE, AlwabpError, iter_bits
+from .instance import iter_bits
 
 M2 = "m2"
 M3 = "m3"
 
 LINE_WIDTH = 80
-
-
-class LpSyntaxError(AlwabpError):
-    pass
 
 
 @dataclass
@@ -204,65 +199,3 @@ def check_solution_against_model(inst, variant, sol):
         if not ok:
             violations.append(Violation(c.name, lhs, c.sense, c.rhs))
     return violations
-
-
-_ROW_RE = re.compile(r"^[A-Za-z0-9_]+:(\s+-?\s*\d*\s*[A-Za-z_][A-Za-z0-9_]*|\s+[+-])+\s+(<=|>=|=)\s+-?\d+$")
-
-
-def tokenize_lp(text):
-    """Split LP text into its sections and validate their structure.
-
-    Accepts an optional leading comment block, then Minimize, Subject To,
-    optional Bounds, optional Binaries, and a final End. Raises LpSyntaxError
-    on imbalance or malformed rows.
-    """
-    sections = {"comments": [], "objective": [], "constraints": [], "bounds": [], "binaries": []}
-    current = None
-    ended = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("\\"):
-            sections["comments"].append(line[1:].strip())
-            continue
-        if ended:
-            raise LpSyntaxError(f"line {lineno}: content after End")
-        if line == "Minimize":
-            if current is not None:
-                raise LpSyntaxError(f"line {lineno}: Minimize must open the model")
-            current = "objective"
-            continue
-        if line == "Subject To":
-            if current != "objective":
-                raise LpSyntaxError(f"line {lineno}: Subject To before Minimize")
-            current = "constraints"
-            continue
-        if line == "Bounds":
-            if current != "constraints":
-                raise LpSyntaxError(f"line {lineno}: Bounds out of order")
-            current = "bounds"
-            continue
-        if line == "Binaries":
-            if current not in ("constraints", "bounds"):
-                raise LpSyntaxError(f"line {lineno}: Binaries out of order")
-            current = "binaries"
-            continue
-        if line == "End":
-            if current is None:
-                raise LpSyntaxError(f"line {lineno}: End without a model")
-            ended = True
-            continue
-        if current is None:
-            raise LpSyntaxError(f"line {lineno}: content before Minimize")
-        if current == "constraints" and not _ROW_RE.match(line):
-            raise LpSyntaxError(f"line {lineno}: malformed constraint row: {line!r}")
-        if current == "binaries":
-            sections["binaries"].extend(line.split())
-        else:
-            sections[current].append(line)
-    if not ended:
-        raise LpSyntaxError("missing End")
-    if not sections["objective"] or not sections["constraints"]:
-        raise LpSyntaxError("model must contain an objective and constraints")
-    return sections

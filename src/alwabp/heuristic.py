@@ -63,8 +63,9 @@ class IpbsParams:
     def __post_init__(self):
         if not 0.0 < self.interval_factor < 1.0:
             raise ValueError("interval factor must lie in (0, 1)")
-        if self.t_min > self.t_max:
-            raise ValueError("t_min must not exceed t_max")
+        # chained, so nan fails it: no deadline comparison with nan is true
+        if not 0.0 <= self.t_min <= self.t_max:
+            raise ValueError("t_min and t_max must satisfy 0 <= t_min <= t_max")
         if self.repetitions < 1 or self.gamma < 1 or self.beam_factor < 1:
             raise ValueError("repetitions, beam width and beam factor must be >= 1")
 

@@ -23,7 +23,6 @@ from alwabp import (
     check_solution_against_model,
     emit_model,
     ipbs,
-    tokenize_lp,
     validate_solution,
     write_instance,
 )
@@ -32,6 +31,7 @@ from alwabp.bounds import ALL_BOUNDS
 from alwabp.cli import run as cli_run
 from alwabp import Solution
 from conftest import FIG1_TEXT, rcmax_optimal, scale_instance
+from lp_syntax import tokenize_lp
 
 
 def _report(criterion, passed, detail):

@@ -278,12 +278,12 @@ class TestExport:
         assert out.read_text().startswith("\\ alwabp m3 6 3\n")
         assert f"wrote {out}" in text
 
-    @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_stdout_mode(self, fig1_path, flags):
+    def test_stdout_mode(self, fig1_path):
         # with no -o there is no report, so --json changes nothing
-        code, text = run(["export", fig1_path, "--model", "m2", *flags])
-        assert code == EXIT_OK
-        assert text == (GOLDEN / "fig1_m2.lp").read_text()
+        for flags in ([], ["--json"]):
+            code, text = run(["export", fig1_path, "--model", "m2", *flags])
+            assert code == EXIT_OK
+            assert text == (GOLDEN / "fig1_m2.lp").read_text()
 
     @pytest.mark.parametrize("model", ["m2", "m3"])
     def test_output_file_report(self, fig1_path, tmp_path, model):
@@ -475,6 +475,19 @@ class TestErrors:
             ["gen", fig1_path, "--workers", "1", "--inf", "0"],
         ):
             assert run(argv)[0] == EXIT_OK
+
+    def test_json_is_strict(self, fig1_path):
+        # an infinite seconds flag is written as "inf", as in text reports
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        argv = ["heur", fig1_path, "--t-min", "0", "--t-max", "inf", "--time-limit", "inf", "--no-timings"]
+        code, text = run([*argv, "--json"])
+        assert code == EXIT_OK
+        config = json.loads(text, parse_constant=refuse)["config"]
+        assert config["t_max"] == config["time_limit"] == "inf"
+        assert "t_max inf\n" in run(argv)[1]
 
     def test_missing_instance_argument(self):
         assert main(["bounds"]) == EXIT_ERROR

@@ -5,17 +5,16 @@ import pytest
 from alwabp import (
     INFEASIBLE,
     Instance,
-    LpSyntaxError,
     Solution,
     branch_and_bound,
     check_solution_against_model,
     emit_model,
     parse_instance,
-    tokenize_lp,
     validate_solution,
 )
 from alwabp.export import M2, M3, build_model
 from conftest import random_instance
+from lp_syntax import LpSyntaxError, tokenize_lp
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -12,6 +12,7 @@ from alwabp import (
     FAILED,
     INFEASIBLE,
     BeamParams,
+    BnbConfig,
     Instance,
     IpbsParams,
     all_bounds,
@@ -556,6 +557,19 @@ class TestIpbs:
             IpbsParams(interval_factor=1.0)
         with pytest.raises(ValueError):
             IpbsParams(t_min=5.0, t_max=1.0)
+        # nan never ended the sweep loop
+        for t_min, t_max in ((math.nan, 0.3), (0.0, math.nan), (-1.0, 0.3), (-2.0, -1.0)):
+            with pytest.raises(ValueError):
+                IpbsParams(t_min=t_min, t_max=t_max)
+        assert IpbsParams(t_min=0.0, t_max=math.inf).t_max == math.inf
+
+    def test_bnb_config_validated(self):
+        # nan ran with no deadline and no warm start; -1 stopped at the root
+        for time_limit in (math.nan, -1.0):
+            with pytest.raises(ValueError):
+                BnbConfig(time_limit=time_limit)
+        for time_limit in (None, 0.0, math.inf):
+            assert BnbConfig(time_limit=time_limit).time_limit == time_limit
 
 
 class TestLocalSearch:
