@@ -2,10 +2,13 @@
 
 The search assigns one task per level to every worker that keeps the worker
 order graph acyclic, applies reduction rules that pin, exclude and prune
-task-worker cells, and bounds each node on the reduced time matrix. The
-worker order graph is kept transitively closed as one bitmask row per
-worker, and the reduced matrix as the instance's times with one mask of
-open cells per worker. Every node owns its state: a child starts as a copy
+task-worker cells, and bounds each node on the reduced time matrix. With
+the rules on, the branching scan is a reduction too: before a child is
+bounded, it closes every cell branching refuses and pins every task left
+with one worker, sweeping to a fixpoint, and its last sweep picks the
+child's branch. The worker order graph is kept transitively closed as one
+bitmask row per worker, and the reduced matrix as the instance's times
+with one mask of open cells per worker. Every node owns its state: a child starts as a copy
 of its parent, so nothing is ever undone. Next to the masks, a node keeps
 current what the branching choice, the rules and the node bound read (row
 minima and their sum, LC3's heads and tails, neighbour-worker masks per
@@ -287,57 +290,87 @@ def _cycle_workers(rows, pred_workers, succ_workers):
     return blocked
 
 
-def select_branch_task(state, gub):
-    """Unassigned task with the most infeasible workers; ties go to the task
+def select_branch_task(state, gub, reduce=False):
+    """Unassigned task with the most refused workers; ties go to the task
     with the largest worker-minimal average-load bound, then the smallest
-    index. A worker is infeasible for a task when its cell is excluded, when
-    pinning would close a cycle in the worker order graph (_cycle_workers,
-    by the workers of its transitive predecessors and successors), or when
-    the average-load bound after pinning (the max of the new worker loads
-    and the ceiling of the effective total over the stations) reaches the
-    incumbent. Returns the task and the (bound, worker) pairs of its
-    feasible workers, in worker order."""
+    index. Branching refuses a worker for a task when its cell is excluded,
+    when pinning would close a cycle in the worker order graph
+    (_cycle_workers, by the workers of its transitive predecessors and
+    successors), or when the average-load bound after pinning (the max of
+    the new worker loads and the ceiling of the effective total over the
+    stations) reaches the incumbent. Returns the task and the (bound,
+    worker) pairs of its accepted workers, in worker order, or (None, [])
+    when every task is assigned.
+
+    Without reduce, this is one read-only sweep over the tasks. With
+    reduce, each sweep also acts on what it sees: it closes every open
+    cell it refuses (mark_infeasible) and pins every task left with one
+    open cell (set_assignment, then apply_reduction_rules). Each closure
+    holds for the whole subtree, since the incumbent only falls. Sweeps
+    repeat until one pins no task and raises no row minimum, after which
+    another would change nothing, and its choice is returned; None
+    means the node is dead: a task lost its last open cell, or a pin's
+    rules found a contradiction."""
     inst = state.inst
     m = inst.n_workers
     times = inst.times
     feasible = state.feasible
     p_min = state.p_min
-    total = state.total
     loads = state.loads
-    max_load = max(loads)
     rows = state.order_graph.rows
-    assigned = state.assigned
     pred_workers, succ_workers = state.pred_star_workers, state.succ_star_workers
-    blocked_by = {}  # many tasks share their neighbour workers
-    best = None
-    for t in range(inst.n_tasks):
-        if assigned >> t & 1:
-            continue
-        neighbours = pred_workers[t] | succ_workers[t] << m
-        blocked = blocked_by.get(neighbours)
-        if blocked is None:
-            blocked = blocked_by[neighbours] = _cycle_workers(rows, pred_workers[t], succ_workers[t])
-        rest = total - p_min[t]
-        pairs = []
-        low = math.inf
-        row = times[t]
-        for w in range(m):
-            if blocked >> w & 1 or not feasible[w] >> t & 1:
+    while True:
+        total = state.total
+        pinned = False
+        max_load = max(loads)
+        blocked_by = {}  # many tasks share their neighbour workers; a pin clears it
+        best = None
+        for t in range(inst.n_tasks):
+            if state.assigned >> t & 1:
                 continue
-            p = row[w]
-            after = loads[w] + p
-            share = -(-(rest + p) // m)
-            if share > after:
-                after = share
-            if max_load > after:
-                after = max_load
-            if after < gub:
-                pairs.append((after, w))
-                if after < low:
-                    low = after
-        key = (m - len(pairs), low, -t)
-        if best is None or key > best[0]:
-            best = (key, t, pairs)
+            neighbours = pred_workers[t] | succ_workers[t] << m
+            blocked = blocked_by.get(neighbours)
+            if blocked is None:
+                blocked = blocked_by[neighbours] = _cycle_workers(rows, pred_workers[t], succ_workers[t])
+            rest = state.total - p_min[t]  # a mark on t raises both terms alike
+            pairs = []
+            low = math.inf
+            row = times[t]
+            for w in range(m):
+                if not feasible[w] >> t & 1:
+                    continue
+                if not blocked >> w & 1:
+                    p = row[w]
+                    after = loads[w] + p
+                    share = -(-(rest + p) // m)
+                    if share > after:
+                        after = share
+                    if max_load > after:
+                        after = max_load
+                    if after < gub:
+                        pairs.append((after, w))
+                        if after < low:
+                            low = after
+                        continue
+                if reduce and not state.mark_infeasible(t, w):
+                    return None
+            if reduce and len(pairs) == 1:
+                pinned = True
+                w = pairs[0][1]
+                if not set_assignment(state, t, w) or apply_reduction_rules(state, t, w, gub):
+                    return None
+                max_load = max(loads)
+                blocked_by = {}
+                continue
+            key = (m - len(pairs), low, -t)
+            if best is None or key > best[0]:
+                best = (key, t, pairs)
+        # without a pin or a risen row minimum, the next sweep would read
+        # the same loads, order graph and total, so it would change nothing
+        if not pinned and state.total == total:
+            break
+    if best is None:
+        return None, []
     return best[1], best[2]
 
 
@@ -404,12 +437,25 @@ class _Search:
     def run(self, root_llb):
         self.visit(SearchState(self.inst), root_llb)
 
-    def visit(self, state, llb):
+    def visit(self, state, llb, choice=None):
+        """Count the node, check the deadline, then record a leaf or branch.
+        choice is the node's select_branch_task result: a child carries the
+        one its parent computed before bounding it; the root, and every node
+        without the reduction rules, computes it here. With the rules, the
+        pass that computes it closes the cells branching refuses and pins
+        the tasks left with one worker, so the child's bound sees the raised
+        row minima, heads and tails, and a child the pass finds dead is
+        dropped before its bound."""
         self.nodes += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _TimeUp
         inst = self.inst
-        if state.assigned == (1 << inst.n_tasks) - 1:
+        reduce = self.config.reduction_rules
+        if choice is None:
+            choice = select_branch_task(state, self.gub, reduce)
+            if choice is None:
+                return
+        if choice[0] is None:
             value = max(state.loads)
             if value < self.gub:
                 self.gub = value
@@ -420,21 +466,26 @@ class _Search:
                         assignment[t] = w
                 self.incumbent = Solution(order, assignment, value)
             return
+        t, pairs = choice
         # pairs holds every worker the task can go to below the incumbent
         # without a cycle once the rules have run; without them,
         # set_assignment may still reject one
-        t, pairs = select_branch_task(state, self.gub)
         for after, w in sorted(pairs):
             if after >= self.gub:  # the incumbent may have improved mid-loop
                 continue
             child = state.child()
             if not set_assignment(child, t, w):
                 continue
-            if self.config.reduction_rules and apply_reduction_rules(child, t, w, self.gub):
-                continue
+            child_choice = None
+            if reduce:
+                if apply_reduction_rules(child, t, w, self.gub):
+                    continue
+                child_choice = select_branch_task(child, self.gub, True)
+                if child_choice is None:
+                    continue
             new_llb = max(llb, _node_bound(child, self.gub))
             if new_llb < self.gub:
-                self.visit(child, new_llb)
+                self.visit(child, new_llb, child_choice)
 
 
 def branch_and_bound(inst, config=None):

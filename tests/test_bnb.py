@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import random
 import time
@@ -514,24 +515,23 @@ class TestReductionRules:
         assert min(compared.values()) > 400 and min(dead.values()) > 40 and r3_cuts > 40, (compared, dead, r3_cuts)
 
 
-def reference_branch_choice(state, gub):
-    """Transparent restatement of the three-level branching rule; returns
-    the task and the (bound, worker) pairs of its feasible workers."""
+def reference_pairs(state, gub):
+    """Transparent restatement of what branching accepts: per unassigned
+    task, the (bound, worker) pairs of the workers whose cell is open, that
+    close no cycle and whose average-load bound stays below gub."""
     inst = state.inst
     eff, asg = node_matrix(state), node_assignment(state)
     p_min = [min(eff[t][w] for w in range(inst.n_workers)) for t in range(inst.n_tasks)]
     total = sum(p_min)
     max_load = max(state.loads)
-    scored = []
+    accepted = {}
     for t in range(inst.n_tasks):
         if t in asg:
             continue
-        infeasible = 0
-        pairs = []
+        pairs = accepted[t] = []
         for w in range(inst.n_workers):
             cell = eff[t][w]
             if math.isinf(cell):
-                infeasible += 1
                 continue
             cyclic = False
             for u in iter_bits(inst.pred_star[t]):
@@ -543,21 +543,45 @@ def reference_branch_choice(state, gub):
                 if x is not None and x != w and has_arc(state.order_graph, x, w):
                     cyclic = True
             if cyclic:
-                infeasible += 1
                 continue
             after = max(
                 max_load,
                 state.loads[w] + cell,
                 math.ceil((total - p_min[t] + cell) / inst.n_workers - 1e-9),
             )
-            if after >= gub:
-                infeasible += 1
-            else:
+            if after < gub:
                 pairs.append((after, w))
+    return accepted
+
+
+def reference_branch_choice(state, gub):
+    """Transparent restatement of the three-level branching rule; returns
+    the task and the (bound, worker) pairs of its feasible workers."""
+    scored = []
+    for t, pairs in reference_pairs(state, gub).items():
         task_lb = min(after for after, _ in pairs) if pairs else math.inf
-        scored.append(((-infeasible, -task_lb, t), pairs))
+        scored.append(((len(pairs), -task_lb, t), pairs))
     key, pairs = min(scored)
     return key[2], pairs
+
+
+def optimal_assignments(inst, value):
+    """Every task -> worker map of cycle time `value` whose induced worker
+    digraph is acyclic, as brute_force_optimal enumerates them."""
+    m = inst.n_workers
+    closure = sorted(inst.closure)
+    for combo in itertools.product(*inst.feasible_workers):
+        loads = [0] * m
+        for t, w in enumerate(combo):
+            loads[w] += inst.times[t][w]
+        if max(loads) != value:
+            continue
+        mask = 0
+        for a, b in closure:
+            if combo[a] != combo[b]:
+                mask |= 1 << (combo[a] * m + combo[b])
+        if bnb._digraph_is_acyclic(mask, m):
+            yield combo
 
 
 class TestBranchSelection:
@@ -586,7 +610,7 @@ class TestBranchSelection:
         select = bnb.select_branch_task
         offered = []
 
-        def checked(state, gub):
+        def checked(state, gub, *reduce):
             rows = state.order_graph.rows
             asg, eff = node_assignment(state), node_matrix(state)
             for t in range(state.inst.n_tasks):
@@ -596,9 +620,11 @@ class TestBranchSelection:
                 for w, p in enumerate(eff[t]):
                     if p != INFEASIBLE:
                         assert set_assignment(state.child(), t, w) != bool(blocked >> w & 1)
-            t, pairs = select(state, gub)
-            offered.extend(set_assignment(state.child(), t, w) for _after, w in pairs)
-            return t, pairs
+            choice = select(state, gub, *reduce)
+            if choice is not None:  # the pass found the node dead
+                t, pairs = choice
+                offered.extend(set_assignment(state.child(), t, w) for _after, w in pairs)
+            return choice
 
         monkeypatch.setattr(bnb, "select_branch_task", checked)
         for seed in range(100):
@@ -625,6 +651,60 @@ class TestBranchSelection:
         assert 0 in [w for _, w in pairs]  # the loaded worker is scored
         for after, w in pairs:
             assert after >= state.loads[w] + node_matrix(state)[t][w]
+
+
+class TestReductionPass:
+    """select_branch_task with reduce: it closes every cell branching
+    refuses and pins every task left with one worker, to a fixpoint."""
+
+    def test_keeps_an_optimum_open_and_only_accepted_cells(self):
+        # at the root and at each child of task 0, with cut-off optimum + 1:
+        # where the node holds an optimal assignment, one stays open, so no
+        # closure and no pin goes against every optimum; and every open cell
+        # of a task left unassigned is one branching accepts
+        pins = closures = 0
+        for seed in range(60):
+            inst = random_instance(seed)
+            best = brute_force_optimal(inst)
+            if best == INFEASIBLE:
+                continue
+            gub = best + 1
+            optima = list(optimal_assignments(inst, best))
+            root = SearchState(inst)
+            states = [root]
+            for w in range(inst.n_workers):
+                child = root.child()
+                if root.feasible[w] & 1 and set_assignment(child, 0, w):
+                    if not apply_reduction_rules(child, 0, w, gub):
+                        states.append(child)
+            for state in states:
+                held = any(all(state.feasible[w] >> t & 1 for t, w in enumerate(c)) for c in optima)
+                assigned, cells = state.assigned, sum(f.bit_count() for f in state.feasible)
+                choice = select_branch_task(state, gub, reduce=True)
+                if choice is None:
+                    assert not held, seed
+                    continue
+                kept = any(all(state.feasible[w] >> t & 1 for t, w in enumerate(c)) for c in optima)
+                assert kept or not held, seed
+                pins += (state.assigned ^ assigned).bit_count()
+                closures += cells - sum(f.bit_count() for f in state.feasible)
+                accepted = reference_pairs(state, gub)
+                for t, pairs in accepted.items():
+                    open_cells = [w for w in range(inst.n_workers) if state.feasible[w] >> t & 1]
+                    assert [w for _after, w in pairs] == open_cells and len(pairs) >= 2, (seed, t)
+                assert choice == (reference_branch_choice(state, gub) if accepted else (None, [])), seed
+        assert pins > 200 and closures > 300, (pins, closures)
+
+    def test_search_from_no_incumbent_finds_the_optimum(self):
+        for seed in range(60):
+            inst = random_instance(seed)
+            best = brute_force_optimal(inst)
+            result = branch_and_bound(inst, BnbConfig(heuristic_on=False))
+            if best == INFEASIBLE:
+                assert result.status == INFEASIBLE_STATUS, seed
+            else:
+                assert (result.status, result.value) == (OPTIMAL, best), seed
+                assert validate_solution(inst, result.solution) == []
 
 
 class TestNodeBound:
@@ -840,14 +920,14 @@ class TestBranchAndBound:
         # config; node counts change whenever the search does, so a change
         # that means to keep the search as it is must keep these
         pins = {
-            (11002, 16, 4): (13, 81, OPTIMAL),
-            (11003, 18, 4): (21, 189, OPTIMAL),
-            (11004, 20, 4): (21, 232, OPTIMAL),
-            (11005, 20, 5): (14, 515, OPTIMAL),
-            (11006, 22, 4): (16, 244, OPTIMAL),
-            (11007, 24, 5): (17, 319, OPTIMAL),
-            (11009, 28, 5): (10, 23, OPTIMAL),
-            (11010, 28, 4): (33, 64, OPTIMAL),
+            (11002, 16, 4): (13, 22, OPTIMAL),
+            (11003, 18, 4): (21, 52, OPTIMAL),
+            (11004, 20, 4): (21, 62, OPTIMAL),
+            (11005, 20, 5): (14, 115, OPTIMAL),
+            (11006, 22, 4): (16, 46, OPTIMAL),
+            (11007, 24, 5): (17, 87, OPTIMAL),
+            (11009, 28, 5): (10, 6, OPTIMAL),
+            (11010, 28, 4): (33, 17, OPTIMAL),
         }
         for (seed, n, m), expected in pins.items():
             result = branch_and_bound(random_instance(seed, n, m))
@@ -860,9 +940,9 @@ class TestBranchAndBound:
         # and 28x7 high with 20 %, arc density 0.1; 40x6 low with 10 %, arc
         # density 0.04); each value is the MILP optimum of perfbench/oracle.py
         pins = {
-            "paper_28x4_low_91": (122, 2346, OPTIMAL),
-            "paper_28x7_high_91": (74, 1552, OPTIMAL),
-            "paper_40x6_low_91": (75, 921, OPTIMAL),
+            "paper_28x4_low_91": (122, 503, OPTIMAL),
+            "paper_28x7_high_91": (74, 310, OPTIMAL),
+            "paper_40x6_low_91": (75, 184, OPTIMAL),
         }
         golden = Path(__file__).parent / "golden"
         for name, expected in pins.items():

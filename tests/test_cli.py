@@ -163,7 +163,7 @@ GOLDEN_SOLVES = [
     "tests/golden/solve_12x3_1204.alwabp",
 ]
 # three instances of the paper-scale set (see test_results_pinned_at_paper_scale
-# in tests/test_bnb.py), where the search takes 900-3000 nodes
+# in tests/test_bnb.py), where the search takes 180-510 nodes
 GOLDEN_PAPER_SOLVES = [
     "tests/golden/paper_28x4_low_91.alwabp",
     "tests/golden/paper_28x7_high_91.alwabp",
@@ -189,7 +189,7 @@ class TestGoldenSolve:
     reports with --no-reduction-rules and with --no-heuristic added, in
     <name>.solve-no-reduction-rules.json and <name>.solve-no-heuristic.json:
     the search with no rules, and from no incumbent; so do the paper-scale
-    28x4 and 28x7 instances, where those searches take 1700-5900 nodes. A
+    28x4 and 28x7 instances, where those searches take 500-4600 nodes. A
     change to node counts, bounds or the solution found shows up here as a
     diff to explain."""
 
