@@ -1,18 +1,19 @@
 """Task-oriented branch-and-bound with an exhaustive verification oracle.
 
 The search assigns one task per level to every worker that keeps the worker
-order graph acyclic, applies reduction rules that pin, exclude and prune
-task-worker cells, and bounds each node on the reduced time matrix. With
-the rules on, the branching scan is a reduction too: before a child is
-bounded, it closes every cell branching refuses and pins every task left
-with one worker, sweeping to a fixpoint, and its last sweep picks the
-child's branch. The worker order graph is kept transitively closed as one
-bitmask row per worker, and the reduced matrix as the instance's times
-with one mask of open cells per worker. Every node owns its state: a child starts as a copy
+order graph acyclic. After each pin, reduction rules force continuity and
+exclude task-worker cells, and each node is bounded on the reduced time
+matrix. With the rules on, the branching scan is a reduction too: before a
+child is bounded, it closes every cell branching refuses and pins every
+task left with one worker, sweeping to a fixpoint, and its last sweep picks
+the child's branch, so the rules need not propagate closed cells. The
+worker order graph is kept transitively closed as one bitmask row per
+worker, and the reduced matrix as the instance's times with one mask of
+open cells per worker. Every node owns its state: a child starts as a copy
 of its parent, so nothing is ever undone. Next to the masks, a node keeps
 current what the branching choice, the rules and the node bound read (row
-minima and their sum, LC3's heads and tails, neighbour-worker masks per
-task; see SearchState), so no step rebuilds them from the whole matrix.
+minima and their sum, LC3's heads and tails, and per worker the tasks its
+tasks follow or precede; see SearchState), so no step rebuilds them.
 """
 
 from __future__ import annotations
@@ -98,10 +99,9 @@ class SearchState:
     - heads[t] and tails[t], p_min[t] plus p_min over t's transitive
       predecessors and successors, LC3's inputs: the root's are a copy of
       the instance's heads_tails, and mark_infeasible raises them;
-    - per task, the masks of the workers holding an assigned transitive
-      predecessor (pred_star_workers) or successor (succ_star_workers)
-      (set_assignment); the order graph links a task's worker by them, and
-      branching blocks the workers that would close a cycle with them.
+    - per worker w, ahead[w] and behind[w], the unions of pred_star and
+      succ_star over w's tasks (set_assignment): the order graph links a
+      task's worker by them, R2 forces by them, _cycle_tasks blocks by them.
 
     The updates walk the instance's relation_lists. The caches of a dead
     node, one a rule has closed every cell of a task in, are not kept: the
@@ -119,8 +119,8 @@ class SearchState:
         self.p_min = list(inst.min_times)
         self.total = sum(self.p_min)
         self.heads, self.tails = map(list, inst.heads_tails)
-        self.pred_star_workers = [0] * n
-        self.succ_star_workers = [0] * n
+        self.ahead = [0] * m
+        self.behind = [0] * m
 
     def child(self):
         node = SearchState.__new__(SearchState)
@@ -134,8 +134,8 @@ class SearchState:
         node.total = self.total
         node.heads = self.heads[:]
         node.tails = self.tails[:]
-        node.pred_star_workers = self.pred_star_workers[:]
-        node.succ_star_workers = self.succ_star_workers[:]
+        node.ahead = self.ahead[:]
+        node.behind = self.behind[:]
         return node
 
     def mark_infeasible(self, t, w):
@@ -170,24 +170,22 @@ class SearchState:
 
 def set_assignment(state, t, w):
     """Assign t to w, link its worker into the order graph and pin it there
-    (rule R1): its other cells close. The neighbour-worker masks of t's
-    transitive predecessors and successors gain w. Returns False, changing
-    nothing, when the assignment would close a cycle in the worker order
-    graph."""
+    (rule R1): its other cells close. The workers whose behind mask holds t
+    (they hold a transitive predecessor of t) come before w, those whose
+    ahead mask holds it after w; w's ahead and behind gain t's pred_star
+    and succ_star. Returns False, changing nothing, when the assignment
+    would close a cycle in the worker order graph."""
     assert state.feasible[w] >> t & 1, "assignment to an infeasible cell"
     inst = state.inst
-    bit = 1 << w
-    other = ~bit
-    if not state.order_graph.link(state.pred_star_workers[t] & other, w, state.succ_star_workers[t] & other):
+    before = sum(1 << v for v, mask in enumerate(state.behind) if mask >> t & 1 and v != w)
+    after = sum(1 << v for v, mask in enumerate(state.ahead) if mask >> t & 1 and v != w)
+    if not state.order_graph.link(before, w, after):
         return False
     state.on_worker[w] |= 1 << t
     state.assigned |= 1 << t
     state.loads[w] += inst.times[t][w]
-    _, succ_star, pred_star = inst.relation_lists
-    for u in succ_star[t]:
-        state.pred_star_workers[u] |= bit
-    for u in pred_star[t]:
-        state.succ_star_workers[u] |= bit
+    state.ahead[w] |= inst.pred_star[t]
+    state.behind[w] |= inst.succ_star[t]
     for w2 in range(inst.n_workers):
         if w2 != w:
             state.mark_infeasible(t, w2)
@@ -195,98 +193,87 @@ def set_assignment(state, t, w):
 
 
 def apply_reduction_rules(state, t, w, gub):
-    """Fixpoint of the three node reductions after assigning t to w.
+    """Fixpoint of the node reductions that follow a pin, starting with t,
+    just assigned to w. Returns True when the node is DEAD.
 
-    R1 pins a task: set_assignment closes all its other cells, for t and
-    for every task the rules force, and those cells seed the propagation (a
-    seed an ancestor node has already propagated marks nothing new). R2
-    enforces continuity: a task between two tasks of one worker is pinned
-    there too, and everything beyond a closed intermediate is excluded on
-    that worker. R3 excludes a candidate cell whose chain would already
-    reach the incumbent, once per task pinned in this call, against the
-    then-open cells. Returns True when the node is DEAD.
+    Each pin a of worker wa, t's and every one the rules force, is taken
+    once. R2 enforces continuity: a task between a and another task of wa
+    (succ_star[a] & ahead[wa], pred_star[a] & behind[wa]) is pinned there
+    too, through set_assignment (R1 closes its other cells), and every task
+    beyond an intermediate of a that is closed on wa is excluded from wa.
+    R3 excludes a cell of wa whose chain from a would already reach the
+    incumbent, against the then-open cells. The node is dead when a forced
+    task is held elsewhere or cannot go to wa, or a task loses its last
+    open cell.
 
-    The loops that exclude cells walk only the open cells (state.feasible);
-    a cell an assigned task holds stays open, so a contradiction is still
-    seen.
+    A closed cell is not propagated further here: with the rules on, the
+    branching pass (select_branch_task with reduce) runs on every child
+    before its bound, and between them they close whatever such a
+    propagation would. A closed cell (j, v) has one of four causes:
+
+    - R1, j pinned on w. Propagating would cut from v the tasks beyond j
+      as seen from a task of v; but that task links v and w in the order
+      graph, so each of them is cycle-blocked on v, and the pass closes it.
+    - R3, the chain from a pinned a through j reaches the incumbent. The
+      chain from a to a task beyond j is longer, since times are positive,
+      so R3 for a cuts it too. If j lies between a and another task of
+      wa, R2 has pinned j, and R3 skips it.
+    - R2's own exclusion. What lies beyond the new cut lies beyond the
+      closed intermediate that caused it, and that is already cut.
+    - A contradiction, a cut of an assigned task's own cell, needs j
+      between two tasks of one worker but pinned elsewhere; set_assignment
+      refuses that pin first, as it would close a cycle.
+
+    R2's exclusion stays for intermediates an ancestor's pass closed by
+    load: nothing else reaches what lies beyond them.
     """
     inst = state.inst
     times = inst.times
     feasible = state.feasible
     on_worker = state.on_worker
     succ_star, pred_star = inst.succ_star, inst.pred_star
-    pending_assign = []
-    pending_marks = []
-
-    def pinned(task, worker):
-        # the cells R1 closed seed the propagation
-        pending_assign.append((task, worker))
-        pending_marks.extend((task, w2) for w2, p in enumerate(times[task]) if w2 != worker and p != INFEASIBLE)
-
-    def mark(task, worker):
-        if on_worker[worker] >> task & 1:
-            return False  # contradiction: an assigned task lost its own cell
-        if not feasible[worker] >> task & 1:
-            return True
-        if not state.mark_infeasible(task, worker):
-            return False
-        pending_marks.append((task, worker))
-        return True
-
-    pinned(t, w)
-    while pending_assign or pending_marks:
-        if pending_assign:
-            a, wa = pending_assign.pop()
-            # continuity forcing against every task already pinned on wa
-            for b in iter_bits(on_worker[wa] & ~(1 << a)):
-                for j in iter_bits(succ_star[a] & pred_star[b] | succ_star[b] & pred_star[a]):
-                    if state.assigned >> j & 1:
-                        if not on_worker[wa] >> j & 1:
-                            return True
-                        continue
-                    if not feasible[wa] >> j & 1 or not set_assignment(state, j, wa):
+    pending = [(t, w)]
+    while pending:
+        a, wa = pending.pop()
+        # continuity forcing against every task already pinned on wa; a
+        # task held elsewhere has its cell on wa closed
+        between = succ_star[a] & state.ahead[wa] | pred_star[a] & state.behind[wa]
+        for j in iter_bits(between & ~on_worker[wa]):
+            if not feasible[wa] >> j & 1 or not set_assignment(state, j, wa):
+                return True
+            pending.append((j, wa))
+        # closed intermediates around a
+        for star in (succ_star, pred_star):
+            for j in iter_bits(star[a] & ~feasible[wa]):
+                for k in iter_bits(star[j] & feasible[wa]):
+                    if not state.mark_infeasible(k, wa):
                         return True
-                    pinned(j, wa)
-            # closed intermediates already present around a
-            for star in (succ_star, pred_star):
-                for j in iter_bits(star[a] & ~feasible[wa]):
-                    for k in iter_bits(star[j] & feasible[wa]):
-                        if not mark(k, wa):
-                            return True
-            # chain-load exclusion relative to the incumbent
-            pa = times[a][wa]
-            after_a, before_a = succ_star[a], pred_star[a]
-            for t2 in iter_bits((after_a | before_a) & feasible[wa] & ~on_worker[wa]):
-                total = pa + times[t2][wa]
-                for u in iter_bits(after_a & pred_star[t2] | succ_star[t2] & before_a):
-                    total += times[u][wa]
-                if total >= gub and not mark(t2, wa):
-                    return True
-        else:
-            j, wj = pending_marks.pop()
-            # propagate exclusions induced by the fresh mark
-            on_wj = on_worker[wj]
-            for star, star_rev in ((succ_star, pred_star), (pred_star, succ_star)):
-                if star_rev[j] & on_wj:
-                    for k in iter_bits(star[j] & feasible[wj]):
-                        if not mark(k, wj):
-                            return True
+        # chain-load exclusion relative to the incumbent
+        pa = times[a][wa]
+        after_a, before_a = succ_star[a], pred_star[a]
+        for t2 in iter_bits((after_a | before_a) & feasible[wa] & ~on_worker[wa]):
+            total = pa + times[t2][wa]
+            for u in iter_bits(after_a & pred_star[t2] | succ_star[t2] & before_a):
+                total += times[u][wa]
+            if total >= gub and not state.mark_infeasible(t2, wa):
+                return True
     return False
 
 
-def _cycle_workers(rows, pred_workers, succ_workers):
-    """The workers a task cannot go to without a cycle in the worker order
-    graph: those that precede a worker of pred_workers, which holds a
-    transitive predecessor of the task, or follow one of succ_workers, which
-    holds a transitive successor (no row holds its own bit, so a neighbour
-    on the same worker is no cycle). After the reduction rules, these are
-    exactly the workers that set_assignment rejects."""
-    blocked = 0
-    for w, row in enumerate(rows):
-        if row & pred_workers:
-            blocked |= 1 << w
-    for x in iter_bits(succ_workers):
-        blocked |= rows[x]
+def _cycle_tasks(state):
+    """Per worker w, the mask of the tasks that cannot go to w without a
+    cycle in the worker order graph: for each arc v -> w, the tasks with a
+    transitive predecessor on w (behind[w]) are blocked on v, and those
+    with a transitive successor on v (ahead[v]) are blocked on w. No row
+    holds its own bit, so a neighbour on the same worker is no cycle. After
+    the reduction rules, these are exactly the cells set_assignment
+    rejects."""
+    ahead, behind = state.ahead, state.behind
+    blocked = [0] * len(ahead)
+    for v, row in enumerate(state.order_graph.rows):
+        for w in iter_bits(row):
+            blocked[v] |= behind[w]
+            blocked[w] |= ahead[v]
     return blocked
 
 
@@ -295,12 +282,12 @@ def select_branch_task(state, gub, reduce=False):
     with the largest worker-minimal average-load bound, then the smallest
     index. Branching refuses a worker for a task when its cell is excluded,
     when pinning would close a cycle in the worker order graph
-    (_cycle_workers, by the workers of its transitive predecessors and
-    successors), or when the average-load bound after pinning (the max of
-    the new worker loads and the ceiling of the effective total over the
-    stations) reaches the incumbent. Returns the task and the (bound,
-    worker) pairs of its accepted workers, in worker order, or (None, [])
-    when every task is assigned.
+    (_cycle_tasks, by each worker's ahead and behind masks), or when the
+    average-load bound after pinning (the max of the new worker loads and
+    the ceiling of the effective total over the stations) reaches the
+    incumbent. Returns the task and the (bound, worker) pairs of its
+    accepted workers, in worker order, or (None, []) when every task is
+    assigned.
 
     Without reduce, this is one read-only sweep over the tasks. With
     reduce, each sweep also acts on what it sees: it closes every open
@@ -317,21 +304,15 @@ def select_branch_task(state, gub, reduce=False):
     feasible = state.feasible
     p_min = state.p_min
     loads = state.loads
-    rows = state.order_graph.rows
-    pred_workers, succ_workers = state.pred_star_workers, state.succ_star_workers
     while True:
         total = state.total
         pinned = False
         max_load = max(loads)
-        blocked_by = {}  # many tasks share their neighbour workers; a pin clears it
+        cycle = _cycle_tasks(state)  # a pin changes it
         best = None
         for t in range(inst.n_tasks):
             if state.assigned >> t & 1:
                 continue
-            neighbours = pred_workers[t] | succ_workers[t] << m
-            blocked = blocked_by.get(neighbours)
-            if blocked is None:
-                blocked = blocked_by[neighbours] = _cycle_workers(rows, pred_workers[t], succ_workers[t])
             rest = state.total - p_min[t]  # a mark on t raises both terms alike
             pairs = []
             low = math.inf
@@ -339,7 +320,7 @@ def select_branch_task(state, gub, reduce=False):
             for w in range(m):
                 if not feasible[w] >> t & 1:
                     continue
-                if not blocked >> w & 1:
+                if not cycle[w] >> t & 1:
                     p = row[w]
                     after = loads[w] + p
                     share = -(-(rest + p) // m)
@@ -360,7 +341,7 @@ def select_branch_task(state, gub, reduce=False):
                 if not set_assignment(state, t, w) or apply_reduction_rules(state, t, w, gub):
                     return None
                 max_load = max(loads)
-                blocked_by = {}
+                cycle = _cycle_tasks(state)
                 continue
             key = (m - len(pairs), low, -t)
             if best is None or key > best[0]:

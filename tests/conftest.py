@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from alwabp import INFEASIBLE, Instance, brute_force_optimal, generate_instance, parse_instance
+from alwabp import INFEASIBLE, Instance, brute_force_optimal, generate_instance, parse_instance, transitive_closure
 from alwabp.instance import iter_bits
 
 FIG1_TEXT = """\
@@ -147,6 +147,27 @@ def scale_instance():
     base = [int(rng.integers(1, 100)) for _ in range(70)]
     edges = {(i, j) for i in range(70) for j in range(i + 1, 70) if rng.random() < 0.04}
     return generate_instance(base, edges, 10, "low", 0.1, seed=2024)
+
+
+def order_strength_instance(n_tasks, n_workers, strength, variability, infeasibility, seed):
+    """A paper-shaped instance: base times 1-99 and a precedence graph whose
+    order strength (the share of the n(n-1)/2 task pairs that its transitive
+    closure orders) is within 0.01 of `strength`. Each pair (i, j), i < j,
+    draws one number, and the arcs are the pairs whose number falls below
+    an arc density; the graph only grows with the density, which is found
+    by bisection."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = [int(rng.integers(1, 100)) for _ in range(n_tasks)]
+    draws = {(i, j): rng.random() for i in range(n_tasks) for j in range(i + 1, n_tasks)}
+    low, high = 0.0, 1.0
+    for _ in range(50):
+        density = (low + high) / 2
+        edges = {pair for pair, u in draws.items() if u < density}
+        reached = len(transitive_closure(edges, n_tasks)) / len(draws)
+        if abs(reached - strength) <= 0.01:
+            return generate_instance(base, edges, n_workers, variability, infeasibility, seed)
+        low, high = (density, high) if reached < strength else (low, density)
+    raise ValueError(f"no arc density gives order strength {strength} at seed {seed}")
 
 
 def suite_params():

@@ -40,6 +40,7 @@ from conftest import (
     count_calls,
     node_assignment,
     node_matrix,
+    order_strength_instance,
     random_instance,
     scale_instance,
     star_sums,
@@ -212,14 +213,17 @@ class TestSetUnset:
         assert list(node_matrix(state)[1]) == [4, 5, 4]
 
     def test_rules_propagate_the_pin(self):
-        # t1 on w1 after t0 on w0: the pin's mark (t1, w0) must reach the
-        # continuity rule, which then cuts t2, a successor of t1, from w0
+        # t1 on w1 after t0 on w0: the pin closes (t1, w0), and t2, a
+        # successor of t1, must leave w0 too; the rules do not propagate the
+        # closed cell, but w0 now precedes w1, so the branching pass finds
+        # t2 cycle-blocked on w0 and closes that cell
         inst = Instance([[1, 1], [1, 1], [1, 1]], {(0, 1), (1, 2)})
         state = SearchState(inst)
         set_assignment(state, 0, 0)
         assert not apply_reduction_rules(state, 0, 0, gub=math.inf)
         set_assignment(state, 1, 1)
         assert not apply_reduction_rules(state, 1, 1, gub=math.inf)
+        assert select_branch_task(state, math.inf, True) is not None
         assert math.isinf(node_matrix(state)[2][0])
 
     def test_direct_edge_creates_arc(self, fig1):
@@ -268,26 +272,23 @@ def recomputed_caches(state):
     heads = [p_min[t] + sum(p_min[a] for a, b in inst.closure if b == t) for t in range(n)]
     tails = [p_min[t] + sum(p_min[b] for a, b in inst.closure if a == t) for t in range(n)]
 
-    def workers(pairs, t, ahead):
-        # workers holding an assigned task u with (u, t) in pairs when
-        # ahead, with (t, u) otherwise
-        return bits({asg[u] for u in range(n) if u in asg and ((u, t) if ahead else (t, u)) in pairs})
-
     return {
         "assigned": bits(asg),
         "p_min": p_min,
         "total": sum(p_min),
         "heads": heads,
         "tails": tails,
-        "pred_star_workers": [workers(inst.closure, t, True) for t in range(n)],
-        "succ_star_workers": [workers(inst.closure, t, False) for t in range(n)],
+        # per worker, the tasks some task of it follows (ahead) or precedes
+        "ahead": [bits({a for a, b in inst.closure if asg.get(b) == w}) for w in range(inst.n_workers)],
+        "behind": [bits({b for a, b in inst.closure if asg.get(a) == w}) for w in range(inst.n_workers)],
     }
 
 
 class TestNodeCaches:
     """What a node keeps current (row minima and their sum, LC3 heads and
-    tails, feasible-cell masks, neighbour-worker masks) always equals a
-    fresh computation, and a child never touches its parent's copy."""
+    tails, feasible-cell masks, each worker's ahead and behind masks)
+    always equals a fresh computation, and a child never touches its
+    parent's copy."""
 
     def test_caches_match_a_fresh_computation(self):
         steps = dead = 0
@@ -464,14 +465,22 @@ class TestReductionRules:
 
 
     def test_rules_reach_the_fixpoint_of_a_naive_restatement(self):
-        # on random nodes built by the search's own steps, the rules and the
-        # order-free reference agree; with a finite incumbent, a chain that
-        # reaches it may end as a dead node in one order and as a load at
-        # the incumbent in the other, and the search drops both
+        # on random nodes built by the search's own step (a pin, the rules,
+        # then the branching pass), one more pin followed by the rules and
+        # the same pin followed by the order-free reference agree once the
+        # pass has run after each: the rules leave to the pass only cells
+        # it closes itself. With a finite incumbent, a chain that reaches
+        # it may end as a dead node in one order and as a load at the
+        # incumbent in the other, and the search drops both
         compared = {"inf": 0, "finite": 0}
         dead = {"inf": 0, "finite": 0}
         r3_cuts = 0
-        for seed in range(300):
+
+        def passed(state, gub):
+            # the branching pass; True when it finds the node dead
+            return select_branch_task(state, gub, True) is None
+
+        for seed in range(600):
             rng = random.Random(seed)
             inst = random_instance(seed, n_tasks=rng.randint(6, 14), n_workers=rng.randint(2, 4))
             finite = seed % 2 == 1
@@ -482,7 +491,7 @@ class TestReductionRules:
                 t = rng.choice([t for t in range(inst.n_tasks) if t not in node_assignment(state)])
                 w = rng.choice([w for w in range(inst.n_workers) if not math.isinf(node_matrix(state)[t][w])])
                 child = state.child()
-                if not set_assignment(child, t, w) or apply_reduction_rules(child, t, w, gub):
+                if not set_assignment(child, t, w) or apply_reduction_rules(child, t, w, gub) or passed(child, gub):
                     continue
                 state = child
                 if len(node_assignment(state)) == inst.n_tasks:
@@ -495,8 +504,8 @@ class TestReductionRules:
                     if not set_assignment(rules, t, w):
                         continue
                     assert set_assignment(reference, t, w)
-                    rules_dead = apply_reduction_rules(rules, t, w, gub)
-                    reference_dead = reference_rules(reference, [t], gub)
+                    rules_dead = apply_reduction_rules(rules, t, w, gub) or passed(rules, gub)
+                    reference_dead = reference_rules(reference, [t], gub) or passed(reference, gub)
                     if finite:
                         rules_dead = rules_dead or max(rules.loads) >= gub
                         reference_dead = reference_dead or max(reference.loads) >= gub
@@ -510,7 +519,8 @@ class TestReductionRules:
                     if finite:
                         loose = state.child()
                         set_assignment(loose, t, w)
-                        apply_reduction_rules(loose, t, w, math.inf)
+                        if not apply_reduction_rules(loose, t, w, math.inf):
+                            passed(loose, gub)
                         r3_cuts += loose.feasible != rules.feasible
         assert min(compared.values()) > 400 and min(dead.values()) > 40 and r3_cuts > 40, (compared, dead, r3_cuts)
 
@@ -603,23 +613,22 @@ class TestBranchSelection:
 
     def test_offers_exactly_the_workers_set_assignment_accepts(self, monkeypatch):
         # at every node of searches with the rules on, each offered worker
-        # is accepted, and of a task's open cells, the ones _cycle_workers
+        # is accepted, and of a task's open cells, the ones _cycle_tasks
         # blocks are exactly the ones set_assignment rejects; blocking by the
-        # direct neighbours' workers alone offers 15 workers here that
-        # set_assignment rejects
+        # tasks' direct neighbours alone (ahead and behind built from direct
+        # arcs) offers 6 workers here that set_assignment rejects
         select = bnb.select_branch_task
         offered = []
 
         def checked(state, gub, *reduce):
-            rows = state.order_graph.rows
+            blocked = bnb._cycle_tasks(state)
             asg, eff = node_assignment(state), node_matrix(state)
             for t in range(state.inst.n_tasks):
                 if t in asg:
                     continue
-                blocked = bnb._cycle_workers(rows, state.pred_star_workers[t], state.succ_star_workers[t])
                 for w, p in enumerate(eff[t]):
                     if p != INFEASIBLE:
-                        assert set_assignment(state.child(), t, w) != bool(blocked >> w & 1)
+                        assert set_assignment(state.child(), t, w) != bool(blocked[w] >> t & 1)
             choice = select(state, gub, *reduce)
             if choice is not None:  # the pass found the node dead
                 t, pairs = choice
@@ -948,6 +957,32 @@ class TestBranchAndBound:
         for name, expected in pins.items():
             inst = parse_instance((golden / f"{name}.alwabp").read_text(encoding="ascii"))
             result = branch_and_bound(inst)
+            assert (result.value, result.nodes, result.status) == expected, name
+
+    def test_results_pinned_at_paper_shape(self):
+        # tests/golden/{roszieg,heskia}_*.alwabp: the task and worker counts
+        # of two of the paper's benchmark families at their usual order
+        # strengths, written by conftest.order_strength_instance with seed
+        # 100 n + m (roszieg: 25 tasks at 0.72, 25x4 high variability with
+        # 20 % infeasible cells and 25x6 low with 10 %; heskia: 28 tasks at
+        # 0.22, 28x4 high and 28x7 low); their root bounds are 10-37 %
+        # below the optimum, and each value is the MILP optimum of
+        # perfbench/oracle.py
+        pins = {
+            ("roszieg_25x4_high_2504", 0.72, 0.2): (342, 23, OPTIMAL),
+            ("roszieg_25x6_low_2506", 0.72, 0.1): (110, 353, OPTIMAL),
+            ("heskia_28x4_high_2804", 0.22, 0.2): (279, 95, OPTIMAL),
+            ("heskia_28x7_low_2807", 0.22, 0.1): (57, 108, OPTIMAL),
+        }
+        golden = Path(__file__).parent / "golden"
+        for (name, strength, infeasibility), expected in pins.items():
+            text = (golden / f"{name}.alwabp").read_text(encoding="ascii")
+            _family, shape, variability, seed = name.split("_")
+            n, m = map(int, shape.split("x"))
+            drawn = order_strength_instance(n, m, strength, variability, infeasibility, int(seed))
+            assert write_instance(drawn) == text, name
+            assert abs(len(drawn.closure) / (n * (n - 1) / 2) - strength) <= 0.01
+            result = branch_and_bound(parse_instance(text))
             assert (result.value, result.nodes, result.status) == expected, name
 
 

@@ -170,6 +170,15 @@ GOLDEN_PAPER_SOLVES = [
     "tests/golden/paper_40x6_low_91.alwabp",
 ]
 
+# roszieg- and heskia-shaped instances (see test_results_pinned_at_paper_shape
+# in tests/test_bnb.py), at order strengths 0.72 and 0.22
+GOLDEN_SHAPED_SOLVES = [
+    "tests/golden/roszieg_25x4_high_2504.alwabp",
+    "tests/golden/roszieg_25x6_low_2506.alwabp",
+    "tests/golden/heskia_28x4_high_2804.alwabp",
+    "tests/golden/heskia_28x7_low_2807.alwabp",
+]
+
 
 def assert_matches_golden(path, argv, kind, monkeypatch, variant=""):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -189,13 +198,18 @@ class TestGoldenSolve:
     reports with --no-reduction-rules and with --no-heuristic added, in
     <name>.solve-no-reduction-rules.json and <name>.solve-no-heuristic.json:
     the search with no rules, and from no incumbent; so do the paper-scale
-    28x4 and 28x7 instances, where those searches take 500-4600 nodes. A
-    change to node counts, bounds or the solution found shows up here as a
-    diff to explain."""
+    28x4 and 28x7 instances, where those searches take 500-4600 nodes. The
+    roszieg- and heskia-shaped instances have the --no-heuristic report
+    only. A change to node counts, bounds or the solution found shows up
+    here as a diff to explain."""
 
-    @pytest.mark.parametrize("path", GOLDEN_SOLVES + GOLDEN_PAPER_SOLVES)
+    @pytest.mark.parametrize("path", GOLDEN_SOLVES + GOLDEN_PAPER_SOLVES + GOLDEN_SHAPED_SOLVES)
     def test_report_matches_golden(self, path, monkeypatch):
         assert_matches_golden(path, ["--seed", "42"], "solve", monkeypatch)
+
+    @pytest.mark.parametrize("path", GOLDEN_SHAPED_SOLVES)
+    def test_search_from_no_incumbent_matches_golden(self, path, monkeypatch):
+        assert_matches_golden(path, ["--seed", "42", "--no-heuristic"], "solve", monkeypatch, "-no-heuristic")
 
     @pytest.mark.parametrize("flag", ["--no-reduction-rules", "--no-heuristic"])
     @pytest.mark.parametrize("path", GOLDEN_SOLVES[1:] + GOLDEN_PAPER_SOLVES[:2])
