@@ -46,42 +46,25 @@ WARM_START_GAMMA = 10
 WARM_START_BEAM_FACTOR = 1
 
 
-class WorkerOrderGraph:
-    """Directed graph over workers, kept transitively closed: bit w of
-    rows[v] is set when v's station precedes w's."""
-
-    def __init__(self, n):
-        self.n = n
-        self.rows = [0] * n
-
-    def copy(self):
-        graph = WorkerOrderGraph(self.n)
-        graph.rows = list(self.rows)
-        return graph
-
-    def link(self, before, w, after):
-        """Add the arcs v -> w for the workers v of mask `before` and w -> x
-        for the workers x of mask `after` (neither holding w), with their
-        transitive consequences: every row that reaches w or a worker of
-        `before` gains w and all w now reaches. Returns False, changing
-        nothing, when the arcs would close a cycle, and True otherwise."""
-        rows = self.rows
-        reach = rows[w] | after
-        for x in iter_bits(after):
-            reach |= rows[x]
-        hit = before | 1 << w
-        if reach & hit:
-            return False
-        rows[w] = reach
-        reach |= 1 << w
-        for v, row in enumerate(rows):
-            if row & hit or before >> v & 1:
-                rows[v] = row | reach
-        return True
-
-    def topological_order(self):
-        """All workers in an arc-respecting order, lowest index first."""
-        return topological_order([list(iter_bits(row)) for row in self.rows], self.n)
+def _link(order, before, w, after):
+    """Add to the worker order graph `order` (transitively closed rows, see
+    SearchState) the arcs v -> w for the workers v of mask `before` and
+    w -> x for the workers x of mask `after` (neither holding w), with their
+    transitive consequences: every row that reaches w or a worker of
+    `before` gains w and all w now reaches. Returns False, changing
+    nothing, when the arcs would close a cycle, and True otherwise."""
+    reach = order[w] | after
+    for x in iter_bits(after):
+        reach |= order[x]
+    hit = before | 1 << w
+    if reach & hit:
+        return False
+    order[w] = reach
+    reach |= 1 << w
+    for v, row in enumerate(order):
+        if row & hit or before >> v & 1:
+            order[v] = row | reach
+    return True
 
 
 class SearchState:
@@ -90,9 +73,10 @@ class SearchState:
     A node records each fact once: feasible[w] is the task mask of the open
     (not excluded) cells on worker w, on_worker[w] the mask of the tasks
     assigned to w, and assigned their union; a cell's time is read from
-    the instance. Besides the loads and the worker order graph, a node
-    carries what its branching, rules and bound read, each updated only
-    where the node changes it:
+    the instance. order[v], one row per worker, is the worker order graph,
+    kept transitively closed: bit w is set when v's station precedes w's.
+    Besides the loads and order, a node carries what its branching, rules
+    and bound read, each updated only where the node changes it:
 
     - p_min[t], the minimum time over t's open cells, and total, their sum
       (mark_infeasible);
@@ -115,7 +99,7 @@ class SearchState:
         self.on_worker = [0] * m  # bitmask of the tasks assigned to each worker
         self.assigned = 0
         self.loads = [0] * m
-        self.order_graph = WorkerOrderGraph(m)
+        self.order = [0] * m
         self.p_min = list(inst.min_times)
         self.total = sum(self.p_min)
         self.heads, self.tails = map(list, inst.heads_tails)
@@ -129,7 +113,7 @@ class SearchState:
         node.on_worker = self.on_worker[:]
         node.assigned = self.assigned
         node.loads = self.loads[:]
-        node.order_graph = self.order_graph.copy()
+        node.order = self.order[:]
         node.p_min = self.p_min[:]
         node.total = self.total
         node.heads = self.heads[:]
@@ -169,17 +153,17 @@ class SearchState:
 
 
 def set_assignment(state, t, w):
-    """Assign t to w, link its worker into the order graph and pin it there
-    (rule R1): its other cells close. The workers whose behind mask holds t
-    (they hold a transitive predecessor of t) come before w, those whose
-    ahead mask holds it after w; w's ahead and behind gain t's pred_star
-    and succ_star. Returns False, changing nothing, when the assignment
-    would close a cycle in the worker order graph."""
+    """Assign t to w, link w into the node's order rows (_link) and pin t
+    there (rule R1): its other cells close. The workers whose behind mask
+    holds t (they hold a transitive predecessor of t) come before w, those
+    whose ahead mask holds it after w; w's ahead and behind gain t's
+    pred_star and succ_star. Returns False, changing nothing, when the
+    assignment would close a cycle in the worker order graph."""
     assert state.feasible[w] >> t & 1, "assignment to an infeasible cell"
     inst = state.inst
     before = sum(1 << v for v, mask in enumerate(state.behind) if mask >> t & 1 and v != w)
     after = sum(1 << v for v, mask in enumerate(state.ahead) if mask >> t & 1 and v != w)
-    if not state.order_graph.link(before, w, after):
+    if not _link(state.order, before, w, after):
         return False
     state.on_worker[w] |= 1 << t
     state.assigned |= 1 << t
@@ -262,15 +246,15 @@ def apply_reduction_rules(state, t, w, gub):
 
 def _cycle_tasks(state):
     """Per worker w, the mask of the tasks that cannot go to w without a
-    cycle in the worker order graph: for each arc v -> w, the tasks with a
-    transitive predecessor on w (behind[w]) are blocked on v, and those
-    with a transitive successor on v (ahead[v]) are blocked on w. No row
-    holds its own bit, so a neighbour on the same worker is no cycle. After
-    the reduction rules, these are exactly the cells set_assignment
-    rejects."""
+    cycle in the worker order graph: for each arc v -> w of the node's
+    order rows, the tasks with a transitive predecessor on w (behind[w])
+    are blocked on v, and those with a transitive successor on v (ahead[v])
+    are blocked on w. No row holds its own bit, so a neighbour on the same
+    worker is no cycle. After the reduction rules, these are exactly the
+    cells set_assignment rejects."""
     ahead, behind = state.ahead, state.behind
     blocked = [0] * len(ahead)
-    for v, row in enumerate(state.order_graph.rows):
+    for v, row in enumerate(state.order):
         for w in iter_bits(row):
             blocked[v] |= behind[w]
             blocked[w] |= ahead[v]
@@ -440,12 +424,9 @@ class _Search:
             value = max(state.loads)
             if value < self.gub:
                 self.gub = value
-                order = state.order_graph.topological_order()
-                assignment = [0] * inst.n_tasks
-                for w, tasks in enumerate(state.on_worker):
-                    for t in iter_bits(tasks):
-                        assignment[t] = w
-                self.incumbent = Solution(order, assignment, value)
+                order = topological_order([list(iter_bits(row)) for row in state.order], inst.n_workers)
+                stations = [(w, state.on_worker[w], state.loads[w]) for w in order]
+                self.incumbent = Solution.from_stations(inst.n_tasks, stations)
             return
         t, pairs = choice
         # pairs holds every worker the task can go to below the incumbent

@@ -130,12 +130,13 @@ def _l1_ascent(times, max_iters, upper):
     renormalized. Any multiplier vector on the simplex yields a valid bound,
     so the running best is kept.
 
-    The tasks' cheapest machines of each iteration form a schedule whose
-    largest load may lower U (`upper`), and the ascent stops once the L1 of
-    its best value reaches U. L1 <= the relaxation's optimum <= U, so L1 is
-    final then, and so is L1a, which lies between the two: the multipliers
-    it would read are not needed. Returns the best dual value, its
-    multipliers and U.
+    L1 is the best dual value rounded up, and at least the largest task's
+    smallest time. The tasks' cheapest machines of each iteration form a
+    schedule whose largest load may lower U (`upper`), and the ascent stops
+    once L1 reaches U. L1 <= the relaxation's optimum <= U, so L1 is final
+    then, and so is L1a, which lies between the two: the multipliers it
+    would read are not needed. Returns L1, the multipliers of the best dual
+    value and U.
     """
     n_tasks, m = times.shape
     finite = np.isfinite(times)
@@ -153,7 +154,7 @@ def _l1_ascent(times, max_iters, upper):
         if value > best_val:
             best_val = value
             best_lam = lam.copy()
-            l1 = _l1_of(best_val, p_min_max)
+            l1 = max(math.ceil(value - 1e-9), p_min_max)
         loads = np.bincount(choice, weights=filled[rows, choice], minlength=m)
         upper = min(upper, int(loads.max()))
         if l1 >= upper:
@@ -165,13 +166,7 @@ def _l1_ascent(times, max_iters, upper):
         lam = lam + (0.5 / (m * k)) * direction / norm
         np.maximum(lam, 0.0, out=lam)
         lam /= np.add.reduce(lam)
-    return best_val, best_lam, upper
-
-
-def _l1_of(dual_value, p_min_max):
-    """L1 from a dual value: rounded up, and at least the largest task's
-    smallest time."""
-    return max(math.ceil(dual_value - 1e-9), p_min_max)
+    return l1, best_lam, upper
 
 
 @dataclass(frozen=True)
@@ -253,14 +248,15 @@ def _l1_additive(times, l1, lam, upper):
     Tasks cheapest on machine w that stay on w must fit into capacity c, so
     the minimum cost is bounded through an all-capacities knapsack per
     machine (one `_knapsack` call over all machines, each movable task an
-    item on its cheapest machine only), reused for every trial c of a binary
-    search for the smallest c not proven impossible.
+    item on its cheapest machine only). L1a is the smallest c from
+    max(L1, 1) on that this test does not prove impossible, read by one
+    scan that evaluates the test at every capacity of the tables at once.
 
-    The knapsacks and the search stop at `upper`, U: L1a <= the
-    relaxation's optimum <= U, so U is not proven impossible, and the test
-    only gets easier as c grows, so the search below U finds the same c as
-    over the full range, on the same table cells. Should rounding fail the
-    test at U, the knapsacks are rebuilt over the full range.
+    The knapsacks and the scan stop at `upper`, U: L1a <= the relaxation's
+    optimum <= U, and capacity c of a knapsack depends only on capacities
+    up to c, so the scan below U reads the same table cells as one over the
+    full range. Should no capacity up to U pass, as rounding could make it,
+    the knapsacks are rebuilt and scanned over the full range.
     """
     n_tasks, m = times.shape
     finite = np.isfinite(times)
@@ -284,10 +280,8 @@ def _l1_additive(times, l1, lam, upper):
         else:
             movable[w].append((p, float(gaps[t])))
 
-    hi = sum(forced_sum) + sum(p for items in movable for p, _ in items)
-    hi = max(hi, 1)
-    lo = max(l1, 1)
-    if lo > hi:
+    hi = max(1, sum(forced_sum) + sum(p for items in movable for p, _ in items))
+    if l1 > hi:
         return l1
 
     # step k offers each machine its k-th movable task, so every row takes
@@ -298,32 +292,24 @@ def _l1_additive(times, l1, lam, upper):
         for k, (p, g) in enumerate(items):
             weights[k, w], gains[k, w] = p, g
     totals = [float(np.array([g for _, g in items]).sum()) for items in movable]
-    cap = min(upper, hi)
-    tables = _knapsack(_knapsack_plan(weights, cap), gains)[-1, :, 1:]
+    start = max(l1, 1, *forced_sum)  # below a machine's forced load, c fails
 
-    def passes(c):
-        penalty = 0.0
-        for w in range(m):
-            rem = c - forced_sum[w]
-            if rem < 0:
-                return False
-            penalty += totals[w] - tables[w][min(rem, cap)]
-        return phi + penalty <= c + 1e-9
+    def first_passing(width):
+        # the test at each c in [start, width]; the penalty adds up machine
+        # by machine, so each c sees the rounding of a sum taken for it alone
+        tables = _knapsack(_knapsack_plan(weights, width), gains)[-1, :, 1:]
+        cs = np.arange(start, width + 1)
+        penalty = np.zeros(cs.size)
+        for w, table in enumerate(tables):
+            penalty += totals[w] - table[cs - forced_sum[w]]
+        passed = np.flatnonzero(phi + penalty <= cs + 1e-9)
+        return int(cs[passed[0]]) if passed.size else None
 
-    if cap < hi and not passes(cap):
-        cap = hi
-        tables = _knapsack(_knapsack_plan(weights, cap), gains)[-1, :, 1:]
-    if not passes(cap):
-        # every c <= hi is proven impossible
-        return max(l1, hi + 1)
-    a, b = lo, cap
-    while a < b:
-        mid = (a + b) // 2
-        if passes(mid):
-            b = mid
-        else:
-            a = mid + 1
-    return max(l1, a)
+    c = first_passing(min(upper, hi))
+    if c is None and upper < hi:
+        c = first_passing(hi)
+    # None: every c <= hi is proven impossible
+    return max(l1, hi + 1) if c is None else c
 
 
 def _disjunction_value(times):
@@ -503,13 +489,12 @@ def _relaxation_bounds(times, l1_iters, l2_iters):
     """L1, L1a, L1a_bar, L2 and L2_bar of one matrix, by name, from one L2
     and one ascent. U starts at S and each step takes it and returns it,
     lowered by the schedules it built: L2 first, so the ascent starts from
-    the U that L2's repairs left, and L1a from its knapsack only while L1
-    is below U. L1a_bar and L2_bar share one disjunction value, which does
-    not depend on the bound it strengthens."""
+    the U that L2's repairs left and returns L1 with it, and L1a comes from
+    its knapsack only while L1 is below U. L1a_bar and L2_bar share one
+    disjunction value, which does not depend on the bound it strengthens."""
     upper = _precedence_free_makespan(times)
     l2, upper = _l2_value(times, l2_iters, upper)
-    best_val, lam, upper = _l1_ascent(times, l1_iters, upper)
-    l1 = _l1_of(best_val, int(times.min(axis=1).max()))
+    l1, lam, upper = _l1_ascent(times, l1_iters, upper)
     l1a = l1 if l1 >= upper else _l1_additive(times, l1, lam, upper)
     disjunction = _disjunction_value(times)
     return {

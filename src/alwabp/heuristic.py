@@ -189,17 +189,6 @@ def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
     return assigned, avail, load, assigned ^ node.assigned_mask
 
 
-def _to_solution(inst, stations, workers_mask):
-    order = [w for w, _, _ in stations] + list(iter_bits(workers_mask))
-    assignment = [0] * inst.n_tasks
-    cycle = 0
-    for w, tasks, load in stations:
-        cycle = max(cycle, load)
-        for t in iter_bits(tasks):
-            assignment[t] = w
-    return Solution(order, assignment, cycle)
-
-
 def beam_search_feasible(inst, params, *, deadline=None):
     """Probabilistic beam search for a full assignment with cycle time at
     most params.cycle_time. Returns the first complete solution, or FAILED
@@ -257,14 +246,16 @@ def beam_search_feasible(inst, params, *, deadline=None):
 def _close_line(inst, beam, capacity):
     """The solution of the first partial in beam, and of its first remaining
     worker in ascending order, whose remaining tasks all fit that worker
-    within capacity, as one last station; FAILED if there is none."""
+    within capacity, as one last station; the workers still left follow
+    with empty stations, in ascending order. FAILED if there is none."""
     full = (1 << inst.n_tasks) - 1
     for node in beam:
         for w in iter_bits(node.workers_mask):
             load = _rlb_sum(inst, node.assigned_mask, 1 << w)
             if load is not None and load <= capacity:
-                station = (w, full ^ node.assigned_mask, load)
-                return _to_solution(inst, node.stations + (station,), node.workers_mask ^ (1 << w))
+                last = (w, full ^ node.assigned_mask, load)
+                idle = [(v, 0, 0) for v in iter_bits(node.workers_mask ^ (1 << w))]
+                return Solution.from_stations(inst.n_tasks, [*node.stations, last, *idle])
     return FAILED
 
 
@@ -471,9 +462,4 @@ def local_search(inst, sol):
         if swapped:
             a, b = swapped
             station_worker[a], station_worker[b] = station_worker[b], station_worker[a]
-
-    assignment = [0] * inst.n_tasks
-    for s in range(m):
-        for t in station_tasks[s]:
-            assignment[t] = station_worker[s]
-    return Solution(station_worker, assignment, int(max(loads)))
+    return Solution.from_stations(inst.n_tasks, zip(station_worker, on, loads))

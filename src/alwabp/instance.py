@@ -283,6 +283,21 @@ class Solution:
         self.assignment = tuple(assignment)
         self.cycle_time = cycle_time
 
+    @classmethod
+    def from_stations(cls, n_tasks, stations):
+        """The line of the given (worker, task mask, load) stations, in
+        station order: the workers in that order, each task on the worker
+        whose mask holds it, and the largest load as the cycle time."""
+        order = []
+        assignment = [0] * n_tasks
+        cycle = 0
+        for w, tasks, load in stations:
+            order.append(w)
+            cycle = max(cycle, load)
+            for t in iter_bits(tasks):
+                assignment[t] = w
+        return cls(order, assignment, cycle)
+
     def loads(self, inst):
         loads = [0] * inst.n_workers
         for t, w in enumerate(self.assignment):

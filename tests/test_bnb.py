@@ -29,7 +29,7 @@ from alwabp.bnb import (
     OPTIMAL,
     TIME_LIMIT,
     SearchState,
-    WorkerOrderGraph,
+    _link,
     _node_bound,
     apply_reduction_rules,
     select_branch_task,
@@ -47,20 +47,25 @@ from conftest import (
 )
 
 
-def has_arc(h, v, w):
-    return bool(h.rows[v] >> w & 1)
+def has_arc(order, v, w):
+    return bool(order[v] >> w & 1)
 
 
-def graph_arcs(h):
-    return {(v, w) for v in range(h.n) for w in range(h.n) if has_arc(h, v, w)}
+def graph_arcs(order):
+    m = len(order)
+    return {(v, w) for v in range(m) for w in range(m) if has_arc(order, v, w)}
+
+
+def rows_order(order):
+    """The workers in an arc-respecting order of the rows, lowest index first."""
+    return topological_order([list(iter_bits(row)) for row in order], len(order))
 
 
 def snapshot(state):
-    """A copy of every field of a node, the worker order graph as its rows;
-    the instance, which all nodes share read only, is left out."""
+    """A copy of every field of a node; the instance, which all nodes share
+    read only, is left out."""
     fields = dict(vars(state))
     del fields["inst"]
-    fields["order_graph"] = fields["order_graph"].rows
     return copy.deepcopy(fields)
 
 
@@ -69,30 +74,33 @@ def bits(workers):
 
 
 class TestWorkerOrderGraph:
+    """_link on a node's plain order rows, and the station order the search
+    leaf reads from them with topological_order."""
+
     def test_link_keeps_closure(self):
-        h = WorkerOrderGraph(4)
-        assert h.link(bits([0]), 1, 0)
-        assert h.link(0, 1, bits([2]))
-        assert has_arc(h, 0, 2)
-        assert h.link(bits([2]), 3, 0)
-        assert has_arc(h, 0, 3) and has_arc(h, 1, 3)
-        assert h.rows == [bits([1, 2, 3]), bits([2, 3]), bits([3]), 0]
+        order = [0] * 4
+        assert _link(order, bits([0]), 1, 0)
+        assert _link(order, 0, 1, bits([2]))
+        assert has_arc(order, 0, 2)
+        assert _link(order, bits([2]), 3, 0)
+        assert has_arc(order, 0, 3) and has_arc(order, 1, 3)
+        assert order == [bits([1, 2, 3]), bits([2, 3]), bits([3]), 0]
 
     def test_cycle_link_changes_nothing(self):
-        h = WorkerOrderGraph(4)
-        h.link(bits([0]), 1, bits([2]))
-        rows = list(h.rows)
+        order = [0] * 4
+        _link(order, bits([0]), 1, bits([2]))
+        rows = list(order)
         # each term of the cycle test: w already reaches a worker of before,
         # before and after share a worker, a worker of after reaches w
-        assert not h.link(bits([1]), 0, 0)
-        assert not h.link(bits([3]), 1, bits([3]))
-        assert not h.link(0, 2, bits([0]))
-        assert h.rows == rows
+        assert not _link(order, bits([1]), 0, 0)
+        assert not _link(order, bits([3]), 1, bits([3]))
+        assert not _link(order, 0, 2, bits([0]))
+        assert order == rows
 
     def test_topological_order_prefers_low_index(self):
-        h = WorkerOrderGraph(4)
-        h.link(bits([2]), 0, 0)
-        assert h.topological_order() == [1, 2, 0, 3]
+        order = [0] * 4
+        _link(order, bits([2]), 0, 0)
+        assert rows_order(order) == [1, 2, 0, 3]
 
     def test_random_links_match_closure(self):
         rng = random.Random(7)
@@ -101,24 +109,24 @@ class TestWorkerOrderGraph:
             m = rng.randint(1, 7)
             station = list(range(m))
             rng.shuffle(station)  # every linked arc goes forward in this order
-            h = WorkerOrderGraph(m)
+            order = [0] * m
             linked = set()
             for _ in range(rng.randint(1, 6)):
                 w = rng.randrange(m)
                 before = bits(v for v in range(m) if station[v] < station[w] and rng.random() < 0.3)
                 after = bits(x for x in range(m) if station[x] > station[w] and rng.random() < 0.3)
-                assert h.link(before, w, after)
+                assert _link(order, before, w, after)
                 linked |= {(v, w) for v in range(m) if before >> v & 1}
                 linked |= {(w, x) for x in range(m) if after >> x & 1}
-                assert graph_arcs(h) == transitive_closure(linked, m)
-                order = h.topological_order()
-                assert all(order.index(v) < order.index(w) for v, w in graph_arcs(h))
+                assert graph_arcs(order) == transitive_closure(linked, m)
+                line = rows_order(order)
+                assert all(line.index(v) < line.index(w) for v, w in graph_arcs(order))
                 # a backward arc closes a cycle whenever its ends are linked
                 v, x = rng.randrange(m), rng.randrange(m)
-                if v != x and has_arc(h, v, x):
-                    rows = list(h.rows)
-                    assert not h.link(bits([x]), v, 0)
-                    assert h.rows == rows
+                if v != x and has_arc(order, v, x):
+                    rows = list(order)
+                    assert not _link(order, bits([x]), v, 0)
+                    assert order == rows
                     refused += 1
         assert refused
 
@@ -133,7 +141,7 @@ class TestAssignmentValidity:
         assert set_assignment(state, 0, 0)  # t1 on w1
         assert set_assignment(state.child(), 1, 1)  # t2 on w2 is fine
         assert set_assignment(state, 1, 1)
-        assert has_arc(state.order_graph, 0, 1)
+        assert has_arc(state.order, 0, 1)
         # t5 follows t2 (on w2), so w1 would need to come after w2 too
         child = state.child()
         assert not set_assignment(child, 4, 0)
@@ -158,7 +166,7 @@ class TestAssignmentValidity:
                 w = rng.randrange(inst.n_workers)
                 if reference_valid(state, t, w):
                     set_assignment(state, t, w)
-            assert graph_arcs(state.order_graph) == transitive_closure(assignment_arcs(state), inst.n_workers)
+            assert graph_arcs(state.order) == transitive_closure(assignment_arcs(state), inst.n_workers)
             for t in range(inst.n_tasks):
                 if t not in node_assignment(state):
                     for w in range(inst.n_workers):
@@ -230,13 +238,13 @@ class TestSetUnset:
         state = SearchState(fig1)
         set_assignment(state, 0, 2)
         set_assignment(state, 1, 0)
-        assert has_arc(state.order_graph, 2, 0)
+        assert has_arc(state.order, 2, 0)
 
     def test_closure_edge_creates_arc(self, fig1):
         state = SearchState(fig1)
         set_assignment(state, 0, 2)
         set_assignment(state, 5, 1)  # (t1, t6) is only in the closure
-        assert has_arc(state.order_graph, 2, 1)
+        assert has_arc(state.order, 2, 1)
 
     def test_nested_frames(self, fig1):
         state = SearchState(fig1)
@@ -253,7 +261,7 @@ class TestSetUnset:
 
 
 # the fields of a node that are not caches of the others
-BASE_FIELDS = ("feasible", "on_worker", "loads", "order_graph")
+BASE_FIELDS = ("feasible", "on_worker", "loads", "order")
 
 
 def node_caches(state):
@@ -546,11 +554,11 @@ def reference_pairs(state, gub):
             cyclic = False
             for u in iter_bits(inst.pred_star[t]):
                 v = asg.get(u)
-                if v is not None and v != w and has_arc(state.order_graph, w, v):
+                if v is not None and v != w and has_arc(state.order, w, v):
                     cyclic = True
             for u in iter_bits(inst.succ_star[t]):
                 x = asg.get(u)
-                if x is not None and x != w and has_arc(state.order_graph, x, w):
+                if x is not None and x != w and has_arc(state.order, x, w):
                     cyclic = True
             if cyclic:
                 continue

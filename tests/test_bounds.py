@@ -376,8 +376,7 @@ class TestL1aCap:
         """L1, its multipliers and U as _relaxation_bounds hands them to L1a."""
         upper = bounds._precedence_free_makespan(times)
         _, upper = bounds._l2_value(times, DEFAULT_L2_ITERS, upper)
-        best_val, lam, upper = bounds._l1_ascent(times, DEFAULT_L1_ITERS, upper)
-        return bounds._l1_of(best_val, int(times.min(axis=1).max())), lam, upper
+        return bounds._l1_ascent(times, DEFAULT_L1_ITERS, upper)
 
     @staticmethod
     def record_widths(monkeypatch):
@@ -409,8 +408,9 @@ class TestL1aCap:
         assert narrower == below_u > 0
 
     def test_forced_fallback_same_values(self, monkeypatch):
-        # L1a handed U = 1, below L1: the knapsacks fail the test at 1 and
-        # are rebuilt over the full range, with the same values
+        # L1a handed U = 1, below L1: no capacity of the knapsacks at 1
+        # passes the test, so they are rebuilt over the full range, with the
+        # same values
         expected = [bound_values(inst, ALL_BOUNDS) for inst in self.cases()]
         l1_additive = bounds._l1_additive
         widths = self.record_widths(monkeypatch)
@@ -426,6 +426,73 @@ class TestL1aCap:
         # then over the full range
         assert knapsacks and widths.count(1) == len(knapsacks)
         assert len(widths) == len(expected) + 2 * len(knapsacks)
+
+
+def reference_l1a(times, l1, lam):
+    """L1a by its definition, one capacity at a time: the smallest c from
+    max(L1, 1) up to the load of every task on its cheapest machine at which
+    the additive test passes, with each machine's knapsack solved at c
+    alone by a 1-D DP over its movable tasks in task order; L1 or that load
+    plus one, whichever is larger, when no such c passes."""
+    n_tasks, m = times.shape
+    finite = np.isfinite(times)
+    weighted = np.where(finite, np.where(finite, times, 0.0) * lam, np.inf)
+    ranked = np.sort(weighted, axis=1)
+    phi = weighted.min(axis=1).sum()
+    forced = [0] * m
+    movable = [[] for _ in range(m)]
+    for t in range(n_tasks):
+        w = int(weighted[t].argmin())
+        gap = ranked[t, 1] - ranked[t, 0] if m > 1 else math.inf
+        if math.isinf(gap):
+            forced[w] += int(times[t, w])
+        else:
+            movable[w].append((int(times[t, w]), float(gap)))
+    hi = max(1, sum(forced) + sum(p for items in movable for p, _ in items))
+    totals = [float(np.array([g for _, g in items]).sum()) for items in movable]
+
+    def kept(items, capacity):
+        # the largest gap total of a subset of items that fits capacity
+        best = [0.0] * (capacity + 1)
+        for p, g in items:
+            for c in range(capacity, p - 1, -1):
+                best[c] = max(best[c], best[c - p] + g)
+        return best[capacity]
+
+    for c in range(max(l1, 1), hi + 1):
+        if c < max(forced):
+            continue
+        penalty = 0.0
+        for w in range(m):
+            penalty += totals[w] - kept(movable[w], c - forced[w])
+        if phi + penalty <= c + 1e-9:
+            return c
+    return max(l1, hi + 1)
+
+
+class TestL1aScan:
+    def test_first_passing_capacity(self):
+        # random instances and multipliers (one machine on every tenth, a
+        # simplex vertex, the ascent's), with L1 at 1, at the answer itself,
+        # from the ascent and past the load of every task (lo > hi); U at
+        # S, at 1 (a rebuild over the full range) and unbounded
+        rng = np.random.default_rng(5)
+        at_start = 0
+        for seed in range(60):
+            one = seed % 10 == 0
+            inst = random_instance(seed, n_workers=1 if one else None, infeasibility=0.0 if one else None)
+            times = inst.times_array
+            m = inst.n_workers
+            past = int(times.sum(where=np.isfinite(times))) + 1
+            ascent_l1, ascent_lam, _ = bounds._l1_ascent(times, DEFAULT_L1_ITERS, math.inf)
+            for lam in (rng.dirichlet(np.ones(m)), np.eye(m)[seed % m], ascent_lam):
+                for l1 in sorted({1, reference_l1a(times, 1, lam), ascent_l1, past}):
+                    expected = reference_l1a(times, l1, lam)
+                    for upper in (bounds._precedence_free_makespan(times), 1, math.inf):
+                        assert bounds._l1_additive(times, l1, lam, upper) == expected
+                    # below the past-every-load L1, the first capacity scanned is the answer
+                    at_start += l1 < past and expected != reference_l1a(times, l1 + 1, lam)
+        assert at_start > 100
 
 
 def reference_l2_value(times, max_iters=DEFAULT_L2_ITERS):
@@ -515,9 +582,8 @@ class TestL2Stop:
             full_counts.append(len(iterations))
             iterations.clear()
             upper = bounds._precedence_free_makespan(times)
-            best_val, lam, upper = bounds._l1_ascent(times, DEFAULT_L1_ITERS, upper)
+            l1, lam, upper = bounds._l1_ascent(times, DEFAULT_L1_ITERS, upper)
             counts.append(len(iterations))
-            l1 = bounds._l1_of(best_val, int(times.min(axis=1).max()))
             l1a = l1 if l1 >= upper else bounds._l1_additive(times, l1, lam, upper)
             assert [l1, l1a, max(l1a, bounds._disjunction_value(times))] == expected
         assert max(counts) == DEFAULT_L1_ITERS

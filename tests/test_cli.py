@@ -336,6 +336,15 @@ class TestGen:
         b = run(["gen", fig1_path, "--workers", "4", "--seed", "9"])
         assert a == b
 
+    def test_matches_golden(self):
+        # tests/golden/fig_example.gen.alwabp was made from the repository
+        # root with `alwabp gen demos/fig_example.alwabp --workers 5 --var
+        # high --inf 0.1 --seed 3`. Every generated corpus, the goldens' and
+        # the benchmark's, comes from generate_instance's draws, so a change
+        # in them shows here.
+        argv = ["gen", str(ROOT / "demos" / "fig_example.alwabp"), "--workers", "5", "--var", "high", "--inf", "0.1"]
+        assert run([*argv, "--seed", "3"]) == (EXIT_OK, (GOLDEN / "fig_example.gen.alwabp").read_text())
+
     def test_output_file_report(self, fig1_path, tmp_path):
         # the report describes the generated instance, not its base
         out = tmp_path / "gen.alwabp"

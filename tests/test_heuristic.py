@@ -298,7 +298,8 @@ def reference_beam_search(inst, params):
                     fills += 1
                     workers = node.workers_mask ^ (1 << w)
                     if assigned == full:
-                        return heuristic._to_solution(inst, node.stations + ((w, placed, load),), workers), fills
+                        idle = [(v, 0, 0) for v in iter_bits(workers)]
+                        return Solution.from_stations(inst.n_tasks, [*node.stations, (w, placed, load), *idle]), fills
                     score = _rlb_sum(inst, assigned, workers)
                     if score is None:
                         continue

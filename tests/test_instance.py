@@ -330,6 +330,23 @@ class TestInstanceValidation:
             generate_instance([2, True], set(), 2, "low", 0.0, seed=0)
 
 
+class TestSolutionFromStations:
+    def test_order_assignment_and_cycle_time(self, fig1):
+        optimum = Solution(*TestValidateSolution.OPTIMUM)
+        loads = optimum.loads(fig1)
+        stations = [
+            (w, sum(1 << t for t, v in enumerate(optimum.assignment) if v == w), loads[w])
+            for w in optimum.worker_order
+        ]
+        assert Solution.from_stations(fig1.n_tasks, iter(stations)) == optimum
+
+    def test_empty_stations(self):
+        # an empty station keeps its place in the order and adds no task
+        line = Solution.from_stations(3, [(1, 0, 0), (2, 0b101, 7), (0, 0b010, 4), (3, 0, 0)])
+        assert line == Solution((1, 2, 0, 3), (2, 0, 2), 7)
+        assert Solution.from_stations(2, [(1, 0, 0), (0, 0, 0)]) == Solution((1, 0), (0, 0), 0)
+
+
 class TestValidateSolution:
     OPTIMUM = ((2, 0, 1), (2, 0, 2, 0, 1, 1), 6)
 
