@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,10 @@ DEFAULT_T_MAX = 900.0
 DEFAULT_REPETITIONS = 20
 
 _UNIFORM_BLOCK = 256  # rng.random() values drawn at once by a beam call
+
+# the positions of the set bits of each byte value, ascending and descending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_BYTE_BITS_DOWN = tuple(bits[::-1] for bits in _BYTE_BITS)
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,11 @@ class PartialAssignment:
     """State of a partially built line: stations closed so far, as
     (worker, task mask, load) triples, the assigned and available (all
     predecessors assigned) tasks, and the workers that have no station yet,
-    as bit masks."""
+    as bit masks. score is its _rlb_sum, computed when not given."""
 
-    __slots__ = ("stations", "assigned_mask", "avail_mask", "workers_mask")
+    __slots__ = ("stations", "assigned_mask", "avail_mask", "workers_mask", "score")
 
-    def __init__(self, inst, stations=(), assigned_mask=0, avail_mask=None, workers_mask=None):
+    def __init__(self, inst, stations=(), assigned_mask=0, avail_mask=None, workers_mask=None, score=None):
         self.stations = stations
         self.assigned_mask = assigned_mask
         if avail_mask is None:
@@ -87,12 +90,17 @@ class PartialAssignment:
         if workers_mask is None:
             workers_mask = (1 << inst.n_workers) - 1
         self.workers_mask = workers_mask
+        if score is None:
+            score = _rlb_sum(inst, assigned_mask, workers_mask)
+        self.score = score
 
 
 def _rlb_sum(inst, assigned_mask, workers_mask):
     """Numerator of the restricted lower bound for forward-built partials:
     the total minimum time of the unassigned tasks over the unassigned
-    workers, or None when some unassigned task has no such worker.
+    workers, or None when some unassigned task has no such worker. The row
+    minima are summed a byte of unassigned tasks at a time, through the set
+    bits that _BYTE_BITS lists for it.
 
     On such states the continuity rules (bnb.apply_reduction_rules) never
     force a task, and their infeasibility marks land only in columns of
@@ -104,63 +112,44 @@ def _rlb_sum(inst, assigned_mask, workers_mask):
     if unassigned & dead:
         return None
     total = 0
+    base = 0
     while unassigned:
-        low = unassigned & -unassigned
-        total += row[low.bit_length() - 1]
-        unassigned ^= low
+        for i in _BYTE_BITS[unassigned & 255]:
+            total += row[base + i]
+        unassigned >>= 8
+        base += 8
     return total
-
-
-def _draw(cands, u, pw, pw_chunks):
-    """The task drawn from candidate mask cands (two or more tasks) for the
-    uniform u in [0, 1): walking the candidates in ascending order, the first
-    whose cumulative weight exceeds u times the total, or the last candidate
-    when none does. Whole bytes of cands are summed and skipped by one
-    pw_chunks lookup each; only the byte that holds the pick is walked bit
-    by bit. Sums are Python ints, so the comparisons are exact."""
-    total = 0
-    k = 0
-    rest = cands
-    while rest:
-        total += pw_chunks[k][rest & 255]
-        rest >>= 8
-        k += 1
-    x = u * total
-    acc = 0
-    k = 0
-    rest = cands
-    while rest:
-        byte = rest & 255
-        s = pw_chunks[k][byte]
-        if acc + s > x:  # the pick is in this byte
-            base = k << 3
-            while True:
-                low = byte & -byte
-                t = base + low.bit_length() - 1
-                acc += pw[t]
-                if acc > x:
-                    return t
-                byte ^= low
-        acc += s
-        rest >>= 8
-        k += 1
-    return cands.bit_length() - 1
 
 
 def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
     """Greedy probabilistic fill of one station for worker w; tasks are drawn
     with probability proportional to their positional weight until nothing
-    available fits the residual capacity. A draw walks the candidates in
-    ascending task order and takes the first whose cumulative weight exceeds
-    u times the total, the pick of bisect_right over the cumulative weights
-    (_draw finds it by byte-chunk lookups); a lone candidate is taken
-    without a draw. u is the next rng.random() value: uniforms holds a block
-    of them, drawn _UNIFORM_BLOCK at a time and popped from the end, so the
-    values are those of one scalar call per draw. Returns the assigned and
-    available masks after the fill, its load and the mask of the tasks it
-    placed."""
-    fit_times = tables.fit_times[w]
-    fit_masks = tables.fit_masks[w]
+    available fits the residual capacity. Returns the assigned and available
+    masks after the fill, its load and the mask of the tasks it placed.
+
+    The candidates are the available tasks in w's residual table
+    (BeamTables.fits) at the capacity left, one index per placement, and
+    total is their pw sum, kept up to date as a task is placed, as placing
+    it unlocks successors that fit, and as the residual drops tasks that no
+    longer fit. A lone candidate is taken without a draw. Otherwise u is the
+    next rng.random() value (uniforms holds a block of them, drawn
+    _UNIFORM_BLOCK at a time and popped from the end, so the values are
+    those of one scalar call per draw), and the pick is the first candidate,
+    in ascending task order, whose cumulative weight exceeds x = u * total:
+    the pick of bisect_right over the cumulative weights. Both walks below
+    find that task, so the one from the nearer end runs:
+    - from the low end (when 2x < total), adding weights until the sum
+      exceeds x;
+    - from the high end, subtracting each candidate's weight from total
+      until what is left, the weight of the candidates below it, is at
+      most x; for x >= total that is the top candidate, the fallback of a
+      fresh list too.
+    A walk skips a whole byte of candidates by one pw_chunks lookup and
+    steps inside the byte that holds the pick through _BYTE_BITS. The sums
+    are Python ints and the comparisons with the float x are exact, so
+    either walk picks the task of a fresh cumulative list."""
+    fit = tables.fits[w]
+    top = len(fit) - 1
     pw = tables.pw
     pw_chunks = tables.pw_chunks
     column = tables.columns[w]
@@ -169,14 +158,48 @@ def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
     avail = node.avail_mask
     assigned = node.assigned_mask
     load = 0
-    while True:
-        cands = avail & fit_masks[bisect_right(fit_times, capacity - load)]
-        if not cands:
-            break
+    cands = avail & fit[capacity if capacity < top else top]
+    total = 0
+    rest = cands
+    k = 0
+    while rest:
+        total += pw_chunks[k][rest & 255]
+        rest >>= 8
+        k += 1
+    while cands:
         if cands & (cands - 1):
             if not uniforms:
                 uniforms.extend(rng.random(_UNIFORM_BLOCK)[::-1].tolist())
-            t = _draw(cands, uniforms.pop(), pw, pw_chunks)
+            x = uniforms.pop() * total
+            if x + x < total:
+                acc = 0
+                base = 0
+                while True:
+                    byte = (cands >> base) & 255
+                    weight = pw_chunks[base >> 3][byte]
+                    if acc + weight > x:  # the pick is in this byte
+                        for i in _BYTE_BITS[byte]:
+                            acc += pw[base + i]
+                            if acc > x:
+                                break
+                        break
+                    acc += weight
+                    base += 8
+            else:
+                acc = total
+                base = (cands.bit_length() - 1) & ~7
+                while True:
+                    byte = (cands >> base) & 255
+                    weight = pw_chunks[base >> 3][byte]
+                    if acc - weight <= x:  # the pick is in this byte
+                        for i in _BYTE_BITS_DOWN[byte]:
+                            acc -= pw[base + i]
+                            if acc <= x:
+                                break
+                        break
+                    acc -= weight
+                    base -= 8
+            t = base + i
         else:
             t = cands.bit_length() - 1
         load += column[t]
@@ -186,6 +209,18 @@ def _fill_station(inst, node, w, capacity, rng, uniforms, tables):
         for u in successors[t]:  # unassigned, as t was until now
             if pred_mask[u] & assigned == pred_mask[u]:
                 avail |= 1 << u
+        residual = capacity - load
+        fitting = avail & fit[residual if residual < top else top]
+        total -= pw[t]
+        changed = fitting ^ cands ^ bit  # unlocked tasks that fit, and drops
+        while changed:
+            low = changed & -changed
+            if fitting & low:
+                total += pw[low.bit_length() - 1]
+            else:
+                total -= pw[low.bit_length() - 1]
+            changed ^= low
+        cands = fitting
     return assigned, avail, load, assigned ^ node.assigned_mask
 
 
@@ -233,7 +268,7 @@ def beam_search_feasible(inst, params, *, deadline=None):
                     counter += 1  # every scored child, so ties keep their order
                     if len(heap) == params.gamma and -score <= heap[0][0]:
                         continue  # rejected before its partial is built
-                    child = PartialAssignment(inst, node.stations + ((w, placed, load),), assigned, avail, workers)
+                    child = PartialAssignment(inst, node.stations + ((w, placed, load),), assigned, avail, workers, score)
                     if len(heap) < params.gamma:
                         heapq.heappush(heap, (-score, -counter, child))
                     else:
@@ -247,9 +282,15 @@ def _close_line(inst, beam, capacity):
     """The solution of the first partial in beam, and of its first remaining
     worker in ascending order, whose remaining tasks all fit that worker
     within capacity, as one last station; the workers still left follow
-    with empty stations, in ascending order. FAILED if there is none."""
+    with empty stations, in ascending order. FAILED if there is none.
+
+    A partial whose score exceeds the capacity is skipped untested: its
+    score sums each remaining task's minimum time over the remaining
+    workers, so any one of them needs at least that much for all of it."""
     full = (1 << inst.n_tasks) - 1
     for node in beam:
+        if node.score > capacity:
+            continue
         for w in iter_bits(node.workers_mask):
             load = _rlb_sum(inst, node.assigned_mask, 1 << w)
             if load is not None and load <= capacity:

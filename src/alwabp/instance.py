@@ -217,42 +217,48 @@ def _byte_sums(weights):
     return tuple(sums)
 
 
+def _residual_table(column):
+    """fit[r]: the bit mask of the tasks whose time in column is at most r,
+    for every r from 0 to the largest finite time."""
+    finite = [(p, t) for t, p in enumerate(column) if p != INFEASIBLE]
+    fit = [0] * (max((p for p, _ in finite), default=0) + 1)
+    for p, t in finite:
+        fit[p] |= 1 << t
+    for r in range(1, len(fit)):
+        fit[r] |= fit[r - 1]
+    return fit
+
+
 class BeamTables:
     """Per-instance lookup tables of the beam search.
 
-    fit_times[w] holds worker w's finite task times in ascending order and
-    fit_masks[w][k] the bit mask of the tasks behind its first k entries, so
-    the tasks that take at most r on w are
-    fit_masks[w][bisect_right(fit_times[w], r)]. pw[t] is task t's minimum
-    positional weight, its tail in Instance.heads_tails. pw_chunks[k][b] is
-    the pw sum of the tasks 8k + i for the set bits i of byte b, so the
-    weight of a task mask is the sum of one lookup per byte; it holds 256
-    ints per 8 tasks, 256 * ceil(n / 8) in all. successors[t] is the list
-    of t's direct successors, ascending, from Instance.relation_lists: the
-    fill loop walks it once per placed task. columns[w] holds worker w's
-    time of each task, so a fill reads its load from one tuple.
+    fits[w] is the residual table of worker w: fits[w][r] is the bit mask of
+    the tasks that take at most r on w, for every residual r from 0 to w's
+    largest finite time, and a larger residual reads the last entry. A fill
+    finds its candidates at each placement by one index, and the table holds
+    largest time + 1 masks per worker, pseudo-polynomial like the root
+    bounds' knapsacks. pw[t] is task t's minimum positional weight, its tail
+    in Instance.heads_tails. pw_chunks[k][b] is the pw sum of the tasks
+    8k + i for the set bits i of byte b, so a draw skips a whole byte of
+    candidates by one lookup; it holds 256 ints per 8 tasks, 256 * ceil(n / 8)
+    in all. successors[t] is the list of t's direct successors, ascending,
+    from Instance.relation_lists: the fill loop walks it once per placed
+    task. columns[w] holds worker w's time of each task, so a fill reads its
+    load from one tuple.
 
     row_minima memoises, per mask of remaining workers, each task's minimum
     time over those workers. It holds at most one row of n ints per worker
     mask asked for, so at most 2^m rows of n.
     """
 
-    __slots__ = ("fit_times", "fit_masks", "pw", "pw_chunks", "successors", "columns", "_times", "_rows")
+    __slots__ = ("fits", "pw", "pw_chunks", "successors", "columns", "_times", "_rows")
 
     def __init__(self, inst):
-        self.fit_times = []
-        self.fit_masks = []
-        for w in range(inst.n_workers):
-            pairs = sorted((row[w], t) for t, row in enumerate(inst.times) if row[w] != INFEASIBLE)
-            masks = [0]
-            for _, t in pairs:
-                masks.append(masks[-1] | 1 << t)
-            self.fit_times.append(tuple(p for p, _ in pairs))
-            self.fit_masks.append(tuple(masks))
+        self.columns = tuple(zip(*inst.times))
+        self.fits = tuple(_residual_table(column) for column in self.columns)
         self.pw = inst.heads_tails[1]
         self.pw_chunks = tuple(_byte_sums(self.pw[k : k + 8]) for k in range(0, inst.n_tasks, 8))
         self.successors = inst.relation_lists[0]
-        self.columns = tuple(zip(*inst.times))
         self._times = inst.times
         self._rows = {}
 

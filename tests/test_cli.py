@@ -237,7 +237,13 @@ class TestGoldenHeur:
 
     The two generated instances also have reports with --verbose added, in
     tests/golden/<name>.heur-verbose.json: their sweep logs pin the cycle
-    time and outcome of every beam call."""
+    time and outcome of every beam call.
+
+    A third generated instance, tests/golden/heur_70x10_7010.alwabp, is
+    seeded the same way (70 tasks, 10 workers, low variability, 10 %
+    infeasible, seed 7010). Its report takes --repetitions 10 in place of
+    20, so that it runs in about a second, and pins the beam's draws over
+    nine byte chunks of tasks."""
 
     @pytest.mark.parametrize("path", GOLDEN_HEURS)
     def test_report_matches_golden(self, path, monkeypatch):
@@ -247,6 +253,10 @@ class TestGoldenHeur:
     def test_sweep_log_matches_golden(self, path, monkeypatch):
         argv = ["--seed", "42", *HEUR_WORKLOAD_FLAGS, "--verbose"]
         assert_matches_golden(path, argv, "heur", monkeypatch, "-verbose")
+
+    def test_70_task_report_matches_golden(self, monkeypatch):
+        argv = ["--seed", "42", *HEUR_WORKLOAD_FLAGS[:4], "--repetitions", "10", *HEUR_WORKLOAD_FLAGS[6:]]
+        assert_matches_golden("tests/golden/heur_70x10_7010.alwabp", argv, "heur", monkeypatch)
 
 
 class TestGoldenBounds:

@@ -19,6 +19,7 @@ from alwabp import (
     lc1,
     beam_search_feasible,
     brute_force_optimal,
+    generate_instance,
     initial_upper_bound,
     ipbs,
     local_search,
@@ -27,7 +28,7 @@ from alwabp import (
 )
 from alwabp import Solution, bounds, heuristic
 from alwabp.bnb import SearchState, apply_reduction_rules, set_assignment
-from alwabp.heuristic import _UNIFORM_BLOCK, _draw, _fill_station, _rlb_sum
+from alwabp.heuristic import _UNIFORM_BLOCK, _fill_station, _rlb_sum
 from alwabp.instance import iter_bits
 from conftest import (
     NARROW_BEAM_FAILS_TEXT,
@@ -85,14 +86,18 @@ class TestBeamTables:
     """The per-instance tables of the beam search against full scans."""
 
     def test_fit_masks_match_scan(self):
+        # the residual table at every residual from 0 to the largest time + 1,
+        # a residual past its end reading the last entry as the fill does
         for seed in range(60):
             inst = random_instance(seed) if seed < 40 else random_instance(seed, n_tasks=20, n_workers=5)
             tables = inst.beam_tables
             for w in range(inst.n_workers):
                 finite = [inst.times[t][w] for t in range(inst.n_tasks) if inst.times[t][w] != INFEASIBLE]
+                fit = tables.fits[w]
+                assert len(fit) == max(finite, default=0) + 1, (seed, w)
                 for r in range(max(finite, default=0) + 2):
                     expected = sum(1 << t for t in range(inst.n_tasks) if inst.times[t][w] <= r)
-                    assert tables.fit_masks[w][bisect_right(tables.fit_times[w], r)] == expected, (seed, w, r)
+                    assert fit[min(r, len(fit) - 1)] == expected, (seed, w, r)
 
     def test_rlb_sum_matches_matrix_formula(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -122,7 +127,8 @@ class TestBeamTables:
 
 
 def draw_reference(cands, u, pw):
-    # the cumulative-list draw that _draw replaced
+    # a draw over a fresh cumulative list: the first candidate whose
+    # cumulative weight exceeds u times the total, else the last one
     order = list(iter_bits(cands))
     cum = []
     total = 0
@@ -130,6 +136,33 @@ def draw_reference(cands, u, pw):
         total += pw[t]
         cum.append(total)
     return order[min(bisect_right(cum, u * total), len(order) - 1)]
+
+
+def fill_reference(inst, node, w, capacity, next_uniform):
+    """The station fill restated without kept state: each placement finds
+    the candidates by a bisect over w's sorted finite times into a scanned
+    fit mask, and each draw sums its total afresh (draw_reference).
+    next_uniform(cands) gives the u of a draw among two or more
+    candidates."""
+    pairs = sorted((inst.times[t][w], t) for t in range(inst.n_tasks) if inst.times[t][w] != INFEASIBLE)
+    fit_times = [p for p, _ in pairs]
+    fit_masks = [sum(1 << t for _, t in pairs[:k]) for k in range(len(pairs) + 1)]
+    pw = inst.heads_tails[1]
+    avail, assigned, load = node.avail_mask, node.assigned_mask, 0
+    while True:
+        cands = avail & fit_masks[bisect_right(fit_times, capacity - load)]
+        if not cands:
+            return assigned, avail, load, assigned ^ node.assigned_mask
+        if cands & (cands - 1):
+            t = draw_reference(cands, next_uniform(cands), pw)
+        else:
+            t = cands.bit_length() - 1
+        load += inst.times[t][w]
+        avail ^= 1 << t
+        assigned |= 1 << t
+        for u in iter_bits(inst.succ_mask[t]):
+            if inst.pred_mask[u] & assigned == inst.pred_mask[u]:
+                avail |= 1 << u
 
 
 def weighted_instance(seed, n):
@@ -141,10 +174,32 @@ def weighted_instance(seed, n):
     return Instance(times, edges)
 
 
+def random_node(inst, rng):
+    # a partial whose assigned tasks are a random prefix of a random
+    # topological order
+    assigned = 0
+    avail = sum(1 << t for t in range(inst.n_tasks) if not inst.pred_mask[t])
+    for _ in range(int(rng.integers(0, inst.n_tasks))):
+        t = list(iter_bits(avail))[int(rng.integers(0, avail.bit_count()))]
+        assigned |= 1 << t
+        avail ^= 1 << t
+        for u in iter_bits(inst.succ_mask[t]):
+            if inst.pred_mask[u] & assigned == inst.pred_mask[u]:
+                avail |= 1 << u
+    return heuristic.PartialAssignment(inst, (), assigned, avail)
+
+
+class NoDraws:
+    def random(self, *args):
+        raise AssertionError("the fill drew past the uniforms it was given")
+
+
 class TestDrawKernel:
-    """_draw, with byte-chunk lookups, against the cumulative-list draw."""
+    """_fill_station, with its kept total and nearer-end walks, against
+    fill_reference, and its uniforms against scalar rng.random() calls."""
 
     SIZES = (7, 8, 9, 16, 17, 40, 70)
+    CAPACITIES = (1, 40, 99, 150, 400, 10**6)  # tight to past every residual table
 
     def test_chunk_sums_match_scan(self):
         for n in self.SIZES:
@@ -156,35 +211,83 @@ class TestDrawKernel:
                     expected = sum(tables.pw[8 * k + i] for i in range(8) if (b >> i) & 1 and 8 * k + i < n)
                     assert sums[b] == expected, (n, k, b)
 
+    def assert_same_fill(self, inst, node, w, capacity, choose):
+        """Runs fill_reference with choose(cands) giving each u, then
+        _fill_station on the same u's followed by two spares: both fills
+        must end alike and leave the spares. Returns the u's."""
+        drawn = []
+
+        def next_uniform(cands):
+            drawn.append(choose(cands))
+            return drawn[-1]
+
+        expected = fill_reference(inst, node, w, capacity, next_uniform)
+        uniforms = [0.25, 0.75, *drawn[::-1]]
+        got = _fill_station(inst, node, w, capacity, NoDraws(), uniforms, inst.beam_tables)
+        assert got == expected, (node.assigned_mask, w, capacity, drawn)
+        assert uniforms == [0.25, 0.75]
+        return drawn
+
     def test_matches_reference_on_random_masks(self):
+        # random nodes, capacities from tight to loose, and uniforms cycling
+        # through random values, both sides of 1/2 and values whose u * total
+        # is exactly a prefix sum of the candidates' weights, in the lower
+        # and in the upper half
         rng = np.random.Generator(np.random.PCG64(17))
+        below_half = math.nextafter(0.5, 0.0)
+        exact = {"low": 0, "high": 0}
+
+        def on_a_prefix(cands, pw):
+            weights = [pw[t] for t in iter_bits(cands)]
+            total = sum(weights)
+            target = sum(weights[: int(rng.integers(1, len(weights)))])
+            for u in (target / total, math.nextafter(target / total, 0.0), math.nextafter(target / total, 1.0)):
+                if u * total == target:
+                    exact["low" if 2 * target < total else "high"] += 1
+                    return u
+            return target / total
+
         for n in self.SIZES:
-            tables = weighted_instance(n, n).beam_tables
-            for _ in range(400):
-                cands = 0
-                while cands & (cands - 1) == 0:  # two or more candidates
-                    density = rng.random()
-                    cands = sum(1 << t for t in range(n) if rng.random() < density)
-                for u in (0.0, 1 - 2**-53, float(rng.random()), float(rng.random())):
-                    expected = draw_reference(cands, u, tables.pw)
-                    assert _draw(cands, u, tables.pw, tables.pw_chunks) == expected, (n, cands, u)
+            inst = weighted_instance(n, n)
+            pw = inst.beam_tables.pw
+            count = iter(range(10**9))
+
+            def choose(cands):
+                kind = next(count) % 5
+                if kind == 0:
+                    return float(rng.random())
+                if kind == 1:
+                    return below_half
+                if kind == 2:
+                    return 0.5
+                return on_a_prefix(cands, pw)
+
+            for _ in range(60):
+                node = random_node(inst, rng)
+                for w in range(2):
+                    for capacity in self.CAPACITIES:
+                        self.assert_same_fill(inst, node, w, capacity, choose)
+        assert min(exact.values()) >= 100, exact
 
     def test_edges_of_the_unit_interval(self):
+        # u = 0 picks the lowest candidate; 1 - 2^-53 and 1.0 the highest,
+        # u * total reaching the total only for 1.0; at u = 1/2 the walk from
+        # the high end runs, and u * total is a prefix sum whenever the
+        # candidates below some task weigh exactly half
+        rng = np.random.Generator(np.random.PCG64(29))
+        draws = 0
         for n in self.SIZES:
-            tables = weighted_instance(n, n).beam_tables
-            full = (1 << n) - 1
-            for cands in (full, 0b11, full ^ 1, 1 | 1 << (n - 1)):
-                lowest = (cands & -cands).bit_length() - 1
-                highest = cands.bit_length() - 1
-                assert _draw(cands, 0.0, tables.pw, tables.pw_chunks) == lowest
-                # u * total stays below total for any positive int total, so
-                # the walk ends on the last candidate; u = 1.0 reaches the
-                # fallback, which must pick the same one
-                assert _draw(cands, 1 - 2**-53, tables.pw, tables.pw_chunks) == highest
-                assert _draw(cands, 1.0, tables.pw, tables.pw_chunks) == highest
+            inst = weighted_instance(n, n)
+            for _ in range(10):
+                node = random_node(inst, rng)
+                for u in (0.0, 0.5, 1 - 2**-53, 1.0):
+                    for w in range(2):
+                        for capacity in self.CAPACITIES:
+                            draws += len(self.assert_same_fill(inst, node, w, capacity, lambda cands: u))
+        assert draws >= 1000
 
     def test_lone_candidate_draws_no_number(self):
-        class NoDraws:
+        class NoNumbers:
             def random(self, *args):
                 raise AssertionError("a lone candidate consumed a random number")
 
@@ -193,23 +296,32 @@ class TestDrawKernel:
         inst = Instance([[3, 5] for _ in range(n)], {(t, t + 1) for t in range(n - 1)})
         node = heuristic.PartialAssignment(inst)
         uniforms = []
-        assigned, _, load, placed = _fill_station(inst, node, 0, 20, NoDraws(), uniforms, inst.beam_tables)
+        assigned, _, load, placed = _fill_station(inst, node, 0, 20, NoNumbers(), uniforms, inst.beam_tables)
         assert placed == 0b111111 and load == 18 and assigned == 0b111111
         assert uniforms == []
 
-    def test_buffered_uniforms_equal_scalar_calls(self, monkeypatch):
+    def test_buffered_uniforms_equal_scalar_calls(self):
+        # fills along chains of stations on the 70-task scale instance, the
+        # kernel refilling its list a block at a time and recording each u it
+        # pops, against fill_reference calling rng.random() once per draw
+        class Recording(list):
+            def pop(self):
+                drawn.append(super().pop())
+                return drawn[-1]
+
         drawn = []
-
-        def recording_draw(cands, u, pw, pw_chunks):
-            drawn.append(u)
-            return _draw(cands, u, pw, pw_chunks)
-
-        monkeypatch.setattr(heuristic, "_draw", recording_draw)
         inst = scale_instance()
-        beam_search_feasible(inst, BeamParams(cycle_time=100, gamma=10, beam_factor=1, seed=8))
+        buffered, scalar = np.random.default_rng(8), np.random.default_rng(8)
+        uniforms = Recording()
+        while len(drawn) < 600:
+            node = heuristic.PartialAssignment(inst)
+            for w in range(inst.n_workers):
+                got = _fill_station(inst, node, w, 100, buffered, uniforms, inst.beam_tables)
+                assert got == fill_reference(inst, node, w, 100, lambda cands: scalar.random())
+                node = heuristic.PartialAssignment(inst, (), got[0], got[1], node.workers_mask ^ 1 << w)
         assert len(drawn) >= 600 > 2 * _UNIFORM_BLOCK
-        scalar = np.random.default_rng(8)
-        assert drawn == [scalar.random() for _ in drawn]
+        replay = np.random.default_rng(8)
+        assert drawn == [replay.random() for _ in drawn]
 
 
 class TestStrengthen:
@@ -440,6 +552,34 @@ class TestBeamSearch:
             params = IpbsParams(gamma=10, beam_factor=1, repetitions=3, t_min=0, seed=seed)
             digest.update(repr(key(ipbs(inst, params, lower_bound=root))).encode())
         assert digest.hexdigest() == "9ac22f996d2270dcc20cc76f581704dd2f6b87c41da13fd3b650d6104e943a8a"
+
+
+    def test_results_pinned_to_70_tasks(self):
+        # sha256 of beam results on 15 instances of 9-70 tasks (up to 9 byte
+        # chunks) on 2-10 workers, each at 4 capacities from LC1 (where every
+        # call fails) to halfway up to a first construction: 60 (instance,
+        # capacity, seed) triples, 26 of them FAILED
+        def pinned_instance(k):
+            n = 9 + 61 * k // 14
+            rng = np.random.Generator(np.random.PCG64(9100 + k))
+            base = [int(rng.integers(1, 100)) for _ in range(n)]
+            edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.05}
+            return generate_instance(base, edges, 2 + 5 * k % 9, "low" if k % 2 else "high", 0.1, 9100 + k)
+
+        digest = hashlib.sha256()
+        failed = 0
+        for k in range(15):
+            inst = pinned_instance(k)
+            start = initial_upper_bound(inst, seed=k, gamma=10).cycle_time
+            low = lc1(inst)
+            for j, share in enumerate((0, 1, 3, 10)):
+                c = low + (start - low) * share // 20
+                sol = beam_search_feasible(inst, BeamParams(cycle_time=c, gamma=10, beam_factor=2, seed=4 * k + j))
+                failed += sol is FAILED
+                key = None if sol is FAILED else (sol.worker_order, sol.assignment, sol.cycle_time)
+                digest.update(repr(key).encode())
+        assert failed == 26
+        assert digest.hexdigest() == "c9141557fe54a9adb9536fe7310da555f383c794c35304ccb07e5f90639e1a8d"
 
 
 class TestInitialUpperBound:
